@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks of the graph substrate: CSR construction,
 //! window slicing, SCC decomposition and the per-root cycle-union
-//! preprocessing (§7).
+//! preprocessing (§7) — min-rooted on a static graph, and the max-rooted
+//! temporal `_before` pass the streaming engine runs on every arriving edge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pce_graph::generators::{self, RandomTemporalConfig};
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::scc::tarjan_scc;
-use pce_graph::{GraphBuilder, TimeWindow};
+use pce_graph::stream::SlidingWindowGraph;
+use pce_graph::{CyclePredicate, GraphBuilder, GraphView, TimeWindow};
+use pce_workloads::streaming::StreamScenarioConfig;
 
 fn workload() -> pce_graph::TemporalGraph {
     generators::power_law_temporal(RandomTemporalConfig {
@@ -81,11 +84,44 @@ fn bench_cycle_union(c: &mut Criterion) {
     group.finish();
 }
 
+/// `compute_temporal_before` over every root of the default
+/// `transaction_rings` stream at the streaming scenario's δ — the union pass
+/// in isolation. The window keeps the whole stream live, so each root sees
+/// exactly the δ-window it sees when the stream is replayed batch by batch.
+fn bench_cycle_union_before(c: &mut Criterion) {
+    let cfg = StreamScenarioConfig::default();
+    let (rings, _) = generators::transaction_rings(cfg.ring);
+    let mut window = SlidingWindowGraph::new(rings.time_span());
+    let roots = window
+        .append_batch(rings.edges())
+        .expect("in-order replay")
+        .roots;
+    let pred = CyclePredicate::pass_all();
+    let mut group = c.benchmark_group("cycle_union_before");
+    group.sample_size(10);
+    group.bench_function("transaction_rings", |b| {
+        let mut ws = CycleUnionWorkspace::new(window.num_vertices());
+        b.iter(|| {
+            let mut closing = 0usize;
+            for root in roots.clone() {
+                let e = window.edge(root);
+                let path_window = TimeWindow::new(e.ts - cfg.window_delta, e.ts);
+                if e.src != e.dst && ws.compute_temporal_before(&window, root, path_window, &pred) {
+                    closing += 1;
+                }
+            }
+            closing
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_build,
     bench_window_slicing,
     bench_scc,
-    bench_cycle_union
+    bench_cycle_union,
+    bench_cycle_union_before
 );
 criterion_main!(benches);

@@ -281,6 +281,13 @@ fn cycle_accepted<G: GraphView + ?Sized>(
     predicate.accepts_cycle_edges(edge_buf)
 }
 
+/// Records one root's union pass in the deterministic work counters: the
+/// union's size and the edges the pass examined.
+fn record_union(metrics: &WorkMetrics, worker: usize, union: &CycleUnionWorkspace) {
+    metrics.union_members(worker, union.union_size() as u64);
+    metrics.union_edge_scans(worker, union.edge_scans());
+}
+
 /// Shared state of one max-rooted backwards search.
 struct DeltaSearch<'a, G: ?Sized, S> {
     graph: &'a G,
@@ -305,14 +312,65 @@ struct DeltaSearch<'a, G: ?Sized, S> {
     /// Amount of the last path edge (meaningful iff `path_edges` is
     /// non-empty).
     last_amount: Amount,
-    path: Vec<VertexId>,
-    path_edges: Vec<EdgeId>,
-    on_path: FxHashSet<VertexId>,
+    // Path state, borrowed from the worker's `RootScratch` so a root costs
+    // no allocation once the buffers have grown.
+    path: &'a mut Vec<VertexId>,
+    path_edges: &'a mut Vec<EdgeId>,
+    on_path: &'a mut FxHashSet<VertexId>,
     /// Scratch for the close-time whole-cycle re-check.
-    edge_buf: Vec<TemporalEdge>,
+    edge_buf: &'a mut Vec<TemporalEdge>,
 }
 
-impl<G: GraphView + ?Sized, S: CycleSink> DeltaSearch<'_, G, S> {
+impl<'a, G: GraphView + ?Sized, S: CycleSink> DeltaSearch<'a, G, S> {
+    /// The search rooted at `e = u → w` (edge id `root`), with its path
+    /// reset to the single vertex `w` in `scratch`'s buffers — the union
+    /// pass must already have run into `scratch.union`.
+    #[allow(clippy::too_many_arguments)] // the per-root driver signature
+    fn new(
+        graph: &'a G,
+        sink: &'a HaltingSink<'a, S>,
+        metrics: &'a WorkMetrics,
+        worker: usize,
+        scratch: &'a mut RootScratch,
+        root: EdgeId,
+        e: &TemporalEdge,
+        max_len: Option<usize>,
+        predicate: &'a CyclePredicate,
+    ) -> Self {
+        let RootScratch {
+            union,
+            path,
+            path_edges,
+            on_path,
+            edge_buf,
+        } = scratch;
+        path.clear();
+        path.push(e.dst);
+        path_edges.clear();
+        on_path.clear();
+        on_path.insert(e.src);
+        on_path.insert(e.dst);
+        Self {
+            graph,
+            sink,
+            metrics,
+            worker,
+            union,
+            root,
+            target: e.src,
+            max_len,
+            predicate,
+            push: Pushdown::of(predicate),
+            root_amount: e.amount,
+            sum: e.amount,
+            last_amount: 0,
+            path,
+            path_edges,
+            on_path,
+            edge_buf,
+        }
+    }
+
     #[inline]
     fn len_ok(&self, len: usize) -> bool {
         self.max_len.map(|m| len <= m).unwrap_or(true)
@@ -326,14 +384,9 @@ impl<G: GraphView + ?Sized, S: CycleSink> DeltaSearch<'_, G, S> {
         self.path_edges.push(entry_edge);
         self.path_edges.push(self.root);
         if !self.push.cycle_check
-            || cycle_accepted(
-                self.graph,
-                self.predicate,
-                &mut self.edge_buf,
-                &self.path_edges,
-            )
+            || cycle_accepted(self.graph, self.predicate, self.edge_buf, self.path_edges)
         {
-            self.sink.push(&self.path, &self.path_edges);
+            self.sink.push(self.path, self.path_edges);
         }
         self.path_edges.pop();
         self.path_edges.pop();
@@ -497,33 +550,22 @@ pub(crate) fn delta_simple_root<G: GraphView + ?Sized, S: CycleSink>(
     let reachable = scratch
         .union
         .compute_simple_before(graph, root, window, predicate);
-    metrics.union_members(worker, scratch.union.union_size() as u64);
+    record_union(metrics, worker, &scratch.union);
     if !reachable {
         return;
     }
-    let mut on_path = fx_set();
-    on_path.insert(e.src);
-    on_path.insert(e.dst);
-    let mut search = DeltaSearch {
+    DeltaSearch::new(
         graph,
         sink,
         metrics,
         worker,
-        union: &scratch.union,
+        scratch,
         root,
-        target: e.src,
-        max_len: opts.max_len,
+        &e,
+        opts.max_len,
         predicate,
-        push,
-        root_amount: e.amount,
-        sum: e.amount,
-        last_amount: 0,
-        path: vec![e.dst],
-        path_edges: Vec::new(),
-        on_path,
-        edge_buf: Vec::new(),
-    };
-    search.extend_simple(e.dst, window);
+    )
+    .extend_simple(e.dst, window);
 }
 
 /// Runs the temporal-cycle delta search rooted at `root` (the cycle's last —
@@ -554,35 +596,24 @@ pub(crate) fn delta_temporal_root<G: GraphView + ?Sized, S: CycleSink>(
     let reachable = scratch
         .union
         .compute_temporal_before(graph, root, window, predicate);
-    metrics.union_members(worker, scratch.union.union_size() as u64);
+    record_union(metrics, worker, &scratch.union);
     if !reachable {
         return;
     }
-    let mut on_path = fx_set();
-    on_path.insert(e.src);
-    on_path.insert(e.dst);
-    let mut search = DeltaSearch {
+    // Seeding the arrival one below the window start admits exactly first
+    // hops with ts >= start; path timestamps stay strictly below t0.
+    DeltaSearch::new(
         graph,
         sink,
         metrics,
         worker,
-        union: &scratch.union,
+        scratch,
         root,
-        target: e.src,
-        max_len: opts.max_len,
+        &e,
+        opts.max_len,
         predicate,
-        push: Pushdown::of(predicate),
-        root_amount: e.amount,
-        sum: e.amount,
-        last_amount: 0,
-        path: vec![e.dst],
-        path_edges: Vec::new(),
-        on_path,
-        edge_buf: Vec::new(),
-    };
-    // Seeding the arrival one below the window start admits exactly first
-    // hops with ts >= start; path timestamps stay strictly below t0.
-    search.extend_temporal(e.dst, start.saturating_sub(1), e.ts.saturating_sub(1));
+    )
+    .extend_temporal(e.dst, start.saturating_sub(1), e.ts.saturating_sub(1));
 }
 
 /// Sequential simple-cycle delta enumeration over the root range `roots`
@@ -1286,9 +1317,7 @@ fn prepare_fine_root<G: GraphView + ?Sized, S: CycleSink>(
                 scratch
                     .union
                     .compute_simple_before(shared.graph, root, window, shared.predicate);
-            shared
-                .metrics
-                .union_members(worker, scratch.union.union_size() as u64);
+            record_union(shared.metrics, worker, &scratch.union);
             if !reachable {
                 return None;
             }
@@ -1306,9 +1335,7 @@ fn prepare_fine_root<G: GraphView + ?Sized, S: CycleSink>(
                 scratch
                     .union
                     .compute_temporal_before(shared.graph, root, window, shared.predicate);
-            shared
-                .metrics
-                .union_members(worker, scratch.union.union_size() as u64);
+            record_union(shared.metrics, worker, &scratch.union);
             if !reachable {
                 return None;
             }
@@ -2326,6 +2353,10 @@ mod tests {
                 assert_eq!(
                     steal_stats.work.total_union_members(),
                     assist_stats.work.total_union_members()
+                );
+                assert_eq!(
+                    steal_stats.work.total_union_edge_scans(),
+                    assist_stats.work.total_union_edge_scans()
                 );
                 assert_eq!(
                     steal_stats.work.total_roots(),

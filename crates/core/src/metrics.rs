@@ -26,6 +26,7 @@ struct WorkerBlock {
     unblock_ops: AtomicU64,
     roots_processed: AtomicU64,
     union_members: AtomicU64,
+    union_edge_scans: AtomicU64,
     aggregate_prunes: AtomicU64,
     positional_prunes: AtomicU64,
     vertex_prunes: AtomicU64,
@@ -145,6 +146,17 @@ impl WorkMetrics {
             .fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Records the edges one root's cycle-union pass examined
+    /// ([`CycleUnionWorkspace::edge_scans`](pce_graph::reach::CycleUnionWorkspace::edge_scans)).
+    /// Deterministic per root, so the per-run total is the union layer's
+    /// work independent of timing and scheduling.
+    #[inline]
+    pub fn union_edge_scans(&self, worker: usize, n: u64) {
+        self.slot(worker)
+            .union_edge_scans
+            .fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Records one partial path pruned by an *aggregate* bound of the pushed
     /// cycle predicate: the running total exceeded the maximum, or a hop
     /// broke required amount-monotonicity. Deterministic per configuration
@@ -199,6 +211,7 @@ impl WorkMetrics {
                     unblock_ops: w.unblock_ops.load(Ordering::Relaxed),
                     roots_processed: w.roots_processed.load(Ordering::Relaxed),
                     union_members: w.union_members.load(Ordering::Relaxed),
+                    union_edge_scans: w.union_edge_scans.load(Ordering::Relaxed),
                     aggregate_prunes: w.aggregate_prunes.load(Ordering::Relaxed),
                     positional_prunes: w.positional_prunes.load(Ordering::Relaxed),
                     vertex_prunes: w.vertex_prunes.load(Ordering::Relaxed),
@@ -231,6 +244,9 @@ pub struct WorkerWork {
     pub roots_processed: u64,
     /// Summed cycle-union sizes over processed roots.
     pub union_members: u64,
+    /// Edges examined by the cycle-union passes, summed over processed
+    /// roots.
+    pub union_edge_scans: u64,
     /// Partial paths pruned by aggregate bounds (running total above the
     /// maximum, or a broken monotone chain).
     pub aggregate_prunes: u64,
@@ -298,6 +314,14 @@ impl WorkSnapshot {
     /// it whenever a predicate rejects any edge on a union path.
     pub fn total_union_members(&self) -> u64 {
         self.workers.iter().map(|w| w.union_members).sum()
+    }
+
+    /// Total edges the cycle-union passes examined, summed over all
+    /// processed roots. Deterministic and identical across granularities,
+    /// thread counts and scheduling strategies (every driver runs the same
+    /// pass once per root).
+    pub fn total_union_edge_scans(&self) -> u64 {
+        self.workers.iter().map(|w| w.union_edge_scans).sum()
     }
 
     /// Total partial paths pruned by aggregate bounds. Deterministic per
@@ -502,6 +526,8 @@ mod tests {
         m.root_processed(0);
         m.union_members(0, 3);
         m.union_members(2, 4);
+        m.union_edge_scans(1, 5);
+        m.union_edge_scans(2, 6);
         m.aggregate_prune(0);
         m.aggregate_prune(1);
         m.positional_prune(2);
@@ -510,6 +536,7 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.total_edge_visits(), 12);
         assert_eq!(s.total_union_members(), 7);
+        assert_eq!(s.total_union_edge_scans(), 11);
         assert_eq!(s.total_aggregate_prunes(), 2);
         assert_eq!(s.total_positional_prunes(), 1);
         assert_eq!(s.total_vertex_prunes(), 1);

@@ -17,16 +17,25 @@ pub mod tiernan;
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::SimpleCycleOptions;
-use pce_graph::{EdgeId, TemporalGraph};
+use crate::util::{fx_set, FxHashSet};
+use pce_graph::{EdgeId, TemporalEdge, TemporalGraph, VertexId};
 use std::time::Instant;
 
 /// A per-worker scratch area reused across rooted searches: the cycle-union
-/// workspace plus the path/blocked buffers. Each sequential run owns one;
-/// parallel runs own one per worker.
+/// workspace plus the path buffers of the max-rooted delta search. Each
+/// sequential run owns one; parallel runs own one per worker.
 #[derive(Debug)]
 pub struct RootScratch {
     /// Cycle-union / reachability workspace (epoch-stamped, reused per root).
     pub union: pce_graph::reach::CycleUnionWorkspace,
+    /// Vertices of the delta search's current path.
+    pub(crate) path: Vec<VertexId>,
+    /// Edge ids of the delta search's current path.
+    pub(crate) path_edges: Vec<EdgeId>,
+    /// Membership set of `path`, for the simple-path test.
+    pub(crate) on_path: FxHashSet<VertexId>,
+    /// Edge records assembled for the close-time whole-cycle re-check.
+    pub(crate) edge_buf: Vec<TemporalEdge>,
 }
 
 impl RootScratch {
@@ -34,6 +43,10 @@ impl RootScratch {
     pub fn new(n: usize) -> Self {
         Self {
             union: pce_graph::reach::CycleUnionWorkspace::new(n),
+            path: Vec::new(),
+            path_edges: Vec::new(),
+            on_path: fx_set(),
+            edge_buf: Vec::new(),
         }
     }
 

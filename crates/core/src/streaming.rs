@@ -1903,12 +1903,24 @@ impl MultiBatchReport {
 /// The shared pass runs at the *union* of the subscribed constraints: the
 /// maximum window δ, the loosest `max_len` (unbounded as soon as one query is
 /// unbounded), and the simple-cycle search as soon as one query asks for
-/// simple cycles (temporal-only portfolios keep the far stronger temporal
+/// simple cycles (temporal-only portfolios keep the stronger temporal
 /// pruning). Adding a subscription whose constraints are inside the current
 /// union is therefore almost free — one extra per-candidate check — while a
 /// single much-looser query widens the shared search for everyone. Portfolios
 /// of similar windows are the sweet spot; `streaming_bench`'s `multi_query`
 /// section measures the sublinear scaling.
+///
+/// Every arriving edge pays one union pass, so on sparse streams — where
+/// almost no root closes a cycle — that pass, not the search, sets the
+/// throughput. Both kinds of pass cost what they touch from the root, not the
+/// size of the δ-window (see [`CycleUnionWorkspace`]). Measured on the
+/// repository benchmark's `fraud_temporal` workload (605 370 roots, 1 215 of
+/// them closing; 2 threads on a 2-vCPU VM, seed 1), the temporal pass takes
+/// 0.17 s over the whole stream against 7.4 s for the linear window scan it
+/// replaced, and throughput rises from about 60–90k to 1.6–1.8M edges per CPU
+/// second with the median per-batch CPU cost down from 5–9 ms to 0.24–0.27 ms.
+///
+/// [`CycleUnionWorkspace`]: pce_graph::reach::CycleUnionWorkspace
 ///
 /// # Example
 /// ```

@@ -21,14 +21,24 @@
 //! paper incorporates into its parallel algorithms.
 //!
 //! The computation reuses buffers across roots ([`CycleUnionWorkspace`]) and
-//! uses epoch-stamping instead of clearing, so the per-root cost is
-//! `O(vertices touched + edges touched)`.
+//! uses epoch-stamping instead of clearing. The simple passes are BFS walks
+//! costing `O(vertices touched + edges touched)` per root; the max-rooted
+//! temporal pass ([`CycleUnionWorkspace::compute_temporal_before`]) is a pair
+//! of heap-ordered, time-respecting frontier walks costing
+//! `O((vertices + edges touched) · log V)` — a root whose head reaches little
+//! costs little, however many edges the δ-window holds. The walks record the
+//! adjacency entries they examine ([`CycleUnionWorkspace::edge_scans`]). The
+//! one-shot min-rooted temporal pass
+//! ([`CycleUnionWorkspace::compute_temporal`]) still scans its window's edge
+//! ids once per direction; its callers are search-bound.
 
 use crate::predicate::{CyclePredicate, VertexFilter};
 use crate::temporal::TemporalGraph;
 use crate::types::{EdgeId, Timestamp, VertexId};
 use crate::view::GraphView;
 use crate::window::TimeWindow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Reusable workspace for per-root cycle-union computations.
 ///
@@ -48,6 +58,12 @@ pub struct CycleUnionWorkspace {
     queue: Vec<VertexId>,
     /// Vertices of the current union (for cheap iteration / size queries).
     union_members: Vec<VertexId>,
+    /// Frontier of the earliest-arrival walk, keyed by arrival time.
+    arrivals: BinaryHeap<Reverse<(Timestamp, VertexId)>>,
+    /// Frontier of the latest-departure walk, keyed by departure time.
+    departures: BinaryHeap<(Timestamp, VertexId)>,
+    /// Adjacency entries examined by the most recent walk-based pass.
+    edge_scans: u64,
 }
 
 impl CycleUnionWorkspace {
@@ -61,6 +77,9 @@ impl CycleUnionWorkspace {
             latest_dep: vec![Timestamp::MIN; n],
             queue: Vec::new(),
             union_members: Vec::new(),
+            arrivals: BinaryHeap::new(),
+            departures: BinaryHeap::new(),
+            edge_scans: 0,
         }
     }
 
@@ -74,6 +93,18 @@ impl CycleUnionWorkspace {
             self.epoch = 1;
         }
         self.union_members.clear();
+        self.edge_scans = 0;
+    }
+
+    /// Adjacency entries the most recent walk-based pass examined
+    /// ([`Self::compute_simple`], [`Self::compute_simple_before`] or
+    /// [`Self::compute_temporal_before`]; [`Self::compute_temporal`] scans
+    /// edge ids instead and records 0). Deterministic for a given graph,
+    /// root, window and predicate, so it measures the pass's work
+    /// independently of timing.
+    #[inline]
+    pub fn edge_scans(&self) -> u64 {
+        self.edge_scans
     }
 
     /// Is `v` in the cycle-union computed by the most recent `compute_*` call?
@@ -170,7 +201,7 @@ impl CycleUnionWorkspace {
         // Forward BFS from v1 over admissible out-edges, backward BFS from v0
         // over admissible in-edges. The windowed accessors enforce the
         // timestamp bounds; "after the root in (ts, id) order" is the id test.
-        epoch_bfs(
+        self.edge_scans += epoch_bfs(
             graph,
             window,
             v1,
@@ -180,7 +211,7 @@ impl CycleUnionWorkspace {
             Direction::Forward,
             |entry| entry.edge > root,
         );
-        epoch_bfs(
+        self.edge_scans += epoch_bfs(
             graph,
             window,
             v0,
@@ -305,7 +336,7 @@ impl CycleUnionWorkspace {
         // extra admissibility conditions are "before the root" on ids and the
         // attribute predicate (attributes live on the edge record, not the
         // adjacency entry, hence the `graph.edge` lookup on the slow path).
-        epoch_bfs(
+        self.edge_scans += epoch_bfs(
             graph,
             window,
             w,
@@ -323,7 +354,7 @@ impl CycleUnionWorkspace {
         // them as union candidates before the backward BFS reuses the buffer.
         self.union_members.clear();
         self.union_members.extend_from_slice(&self.queue);
-        epoch_bfs(
+        self.edge_scans += epoch_bfs(
             graph,
             window,
             u,
@@ -351,15 +382,34 @@ impl CycleUnionWorkspace {
     /// strictly below `t0` and at least `window.start` (callers pass
     /// `[max(t0 - δ, floor) : t0]`; the first edge's timestamp bounds the
     /// cycle's window anchor, so `first_ts ≥ t0 - δ` is exactly the temporal
-    /// window constraint). The forward pass computes earliest arrivals from
-    /// `w`; the backward pass computes, for every vertex `x`, the **latest
-    /// departure time** towards `u` — [`Self::can_close_after`] then works
-    /// unchanged for the mirrored search. Returns `true` if `w` can reach `u`.
+    /// window constraint). Returns `true` if `w` can reach `u`.
     ///
-    /// Like [`Self::compute_simple_before`], [`Self::union_members`] is
-    /// gathered during the traversal (each vertex is recorded when its
-    /// forward stamp is first set, then filtered by the backward stamp), so
-    /// the per-root cost stays proportional to what the passes touch.
+    /// Two time-respecting frontier walks over the windowed adjacency compute
+    /// the union:
+    ///
+    /// * an **earliest-arrival walk** from `w` pops the vertex `x` with the
+    ///   smallest arrival `a` and relaxes its out-edges in
+    ///   `[max(a + 1, window.start) : t0 - 1]`. If it never reaches `u` the
+    ///   root closes nothing: the pass returns `false` with an empty union
+    ///   and no backward work;
+    /// * a **latest-departure walk** from `u` pops the vertex `x` with the
+    ///   largest departure `d` and relaxes its in-edges `y → x` in
+    ///   `[window.start : d - 1]`, but only when `y` is reached strictly
+    ///   before the edge leaves (`earliest_arrival(y) < ts`). The result is
+    ///   the latest departure towards `u` — [`Self::can_close_after`] works
+    ///   unchanged for the mirrored search.
+    ///
+    /// The restriction drops exactly the vertices that could only depart
+    /// towards `u` at or before their earliest arrival. A search arrives at
+    /// such a vertex no earlier than its earliest arrival, where
+    /// [`Self::can_close_after`] would reject it anyway, so every search
+    /// decision — and every search counter — is the same as with the
+    /// unrestricted walk; only
+    /// [`Self::union_members`] can shrink. Members are recorded when the
+    /// forward walk first stamps them and then filtered by the backward
+    /// stamp, so the whole pass costs `O((V + E touched) · log V)` instead of
+    /// a scan of every edge in the δ-window; [`Self::edge_scans`] counts the
+    /// adjacency entries both walks examine.
     ///
     /// `predicate` filters admissible edges and vertices by attribute,
     /// exactly as in [`Self::compute_simple_before`].
@@ -377,62 +427,96 @@ impl CycleUnionWorkspace {
         let pass_all = edge_pred.is_pass_all();
         let vf = predicate.vertex_filter();
         let vf_any = *vf == VertexFilter::Any;
-        // Path edges live in [window.start : t0 - 1]; this also keeps every
-        // scanned id strictly below the root (ids refine timestamp order).
-        let scan = TimeWindow::new(window.start, t0.saturating_sub(1));
-        let ids = graph.edge_ids_in_window(scan);
-
-        // Forward pass: earliest strictly-increasing arrival from w. Seeding
-        // one below the window start admits exactly first edges with
-        // ts >= window.start.
-        self.earliest[w as usize] = window.start.saturating_sub(1);
-        self.fwd_epoch[w as usize] = self.epoch;
-        self.union_members.push(w);
-        for id in ids.clone() {
-            let e = graph.edge(id);
-            if !pass_all && !edge_pred.accepts(&e) {
-                continue;
-            }
-            if !vf_any && !vf.accepts(e.dst) {
-                continue;
-            }
-            let su = e.src as usize;
-            if self.fwd_epoch[su] == self.epoch && self.earliest[su] < e.ts {
-                let sd = e.dst as usize;
-                if self.fwd_epoch[sd] != self.epoch || self.earliest[sd] > e.ts {
-                    if self.fwd_epoch[sd] != self.epoch {
-                        self.union_members.push(e.dst);
-                    }
-                    self.earliest[sd] = e.ts;
-                    self.fwd_epoch[sd] = self.epoch;
-                }
-            }
+        // An edge enters a walk only if its attributes and the vertex it leads
+        // to pass the predicate (attributes live on the edge record, hence the
+        // `graph.edge` lookup on the slow path).
+        let admits = |id: EdgeId, v: VertexId| {
+            (vf_any || vf.accepts(v)) && (pass_all || edge_pred.accepts(&graph.edge(id)))
+        };
+        let start = window.start;
+        // Path edges live in [start : t0 - 1]; this also keeps every walked
+        // id strictly below the root (ids refine timestamp order). Emptied
+        // slices are skipped before slicing (a floor may sit above t0).
+        let t_last = t0.saturating_sub(1);
+        // `w` departs on every path, so a filter rejecting it leaves nothing.
+        if w != u && !vf_any && !vf.accepts(w) {
+            return false;
         }
 
-        // Backward pass: latest departure towards u. Seeding u with t0 admits
-        // exactly closing edges with ts < t0.
-        self.latest_dep[u as usize] = t0;
-        self.bwd_epoch[u as usize] = self.epoch;
-        for id in ids.rev() {
-            let e = graph.edge(id);
-            if !pass_all && !edge_pred.accepts(&e) {
+        // Earliest-arrival walk from w. Seeding one below the window start
+        // admits exactly first edges with ts >= start; each vertex is expanded
+        // once, at its final arrival (later heap entries for it are stale).
+        let epoch = self.epoch;
+        self.earliest[w as usize] = start.saturating_sub(1);
+        self.fwd_epoch[w as usize] = epoch;
+        self.union_members.push(w);
+        self.arrivals.clear();
+        self.arrivals.push(Reverse((start.saturating_sub(1), w)));
+        while let Some(Reverse((a, x))) = self.arrivals.pop() {
+            if a != self.earliest[x as usize] {
                 continue;
             }
-            if !vf_any && !vf.accepts(e.src) {
+            let later = TimeWindow::new(a.saturating_add(1).max(start), t_last);
+            if later.is_empty() {
                 continue;
             }
-            let sd = e.dst as usize;
-            if self.bwd_epoch[sd] == self.epoch && self.latest_dep[sd] > e.ts {
-                let su = e.src as usize;
-                if self.bwd_epoch[su] != self.epoch || self.latest_dep[su] < e.ts {
-                    self.latest_dep[su] = e.ts;
-                    self.bwd_epoch[su] = self.epoch;
+            let out = graph.out_edges_in_window(x, later);
+            self.edge_scans += out.len() as u64;
+            for entry in out {
+                let y = entry.neighbor as usize;
+                let seen = self.fwd_epoch[y] == epoch;
+                if (seen && self.earliest[y] <= entry.ts) || !admits(entry.edge, entry.neighbor) {
+                    continue;
                 }
+                if !seen {
+                    self.fwd_epoch[y] = epoch;
+                    self.union_members.push(entry.neighbor);
+                }
+                self.earliest[y] = entry.ts;
+                self.arrivals.push(Reverse((entry.ts, entry.neighbor)));
+            }
+        }
+        if self.fwd_epoch[u as usize] != epoch {
+            self.union_members.clear();
+            return false;
+        }
+
+        // Latest-departure walk towards u. Seeding u with t0 admits exactly
+        // closing edges with ts < t0.
+        self.latest_dep[u as usize] = t0;
+        self.bwd_epoch[u as usize] = epoch;
+        self.departures.clear();
+        self.departures.push((t0, u));
+        while let Some((d, x)) = self.departures.pop() {
+            if d != self.latest_dep[x as usize] {
+                continue;
+            }
+            let earlier = TimeWindow::new(start, d.saturating_sub(1));
+            if earlier.is_empty() {
+                continue;
+            }
+            let inc = graph.in_edges_in_window(x, earlier);
+            self.edge_scans += inc.len() as u64;
+            for entry in inc {
+                let y = entry.neighbor as usize;
+                if self.fwd_epoch[y] != epoch
+                    || self.earliest[y] >= entry.ts
+                    || (self.bwd_epoch[y] == epoch && self.latest_dep[y] >= entry.ts)
+                    || !admits(entry.edge, entry.neighbor)
+                {
+                    continue;
+                }
+                self.bwd_epoch[y] = epoch;
+                self.latest_dep[y] = entry.ts;
+                self.departures.push((entry.ts, entry.neighbor));
             }
         }
 
         self.retain_backward_reachable_members();
-        self.fwd_epoch[u as usize] == self.epoch && self.bwd_epoch[w as usize] == self.epoch
+        // The earliest-arrival path to u survives the restriction edge by
+        // edge, so the backward walk always gets back to w.
+        debug_assert_eq!(self.bwd_epoch[w as usize], epoch);
+        true
     }
 
     /// Filters the forward-reachable candidates recorded by a `_before` pass
@@ -483,7 +567,8 @@ enum Direction {
 /// forward/backward passes of both the min-rooted
 /// ([`CycleUnionWorkspace::compute_simple`]) and max-rooted
 /// ([`CycleUnionWorkspace::compute_simple_before`]) computations so the
-/// traversal logic exists exactly once.
+/// traversal logic exists exactly once. Returns the number of adjacency
+/// entries examined.
 #[allow(clippy::too_many_arguments)] // private helper; the args are the BFS
 fn epoch_bfs<G: GraphView + ?Sized>(
     graph: &G,
@@ -494,7 +579,8 @@ fn epoch_bfs<G: GraphView + ?Sized>(
     queue: &mut Vec<VertexId>,
     direction: Direction,
     admissible: impl Fn(&crate::temporal::AdjEntry) -> bool,
-) {
+) -> u64 {
+    let mut scans = 0u64;
     queue.clear();
     marks[seed as usize] = epoch;
     queue.push(seed);
@@ -506,6 +592,7 @@ fn epoch_bfs<G: GraphView + ?Sized>(
             Direction::Forward => graph.out_edges_in_window(x, window),
             Direction::Backward => graph.in_edges_in_window(x, window),
         };
+        scans += adjacency.len() as u64;
         for entry in adjacency {
             if !admissible(entry) {
                 continue;
@@ -517,6 +604,7 @@ fn epoch_bfs<G: GraphView + ?Sized>(
             }
         }
     }
+    scans
 }
 
 /// Convenience wrapper: the set of vertices reachable from `start` ignoring
@@ -540,7 +628,199 @@ pub fn reachable_from(graph: &TemporalGraph, start: VertexId) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::{EdgePredicate, LabelFilter};
+    use crate::types::TemporalEdge;
     use crate::GraphBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl CycleUnionWorkspace {
+        /// The linear-scan form of [`CycleUnionWorkspace::compute_temporal_before`]
+        /// that the frontier walks replaced, kept as its differential oracle:
+        /// it reads every edge of `[window.start : t0 - 1]` once forwards and
+        /// once backwards, whatever the root can reach.
+        fn compute_temporal_before_scan<G: GraphView + ?Sized>(
+            &mut self,
+            graph: &G,
+            root: EdgeId,
+            window: TimeWindow,
+            predicate: &CyclePredicate,
+        ) -> bool {
+            self.bump_epoch();
+            let e0 = graph.edge(root);
+            let (u, w, t0) = (e0.src, e0.dst, e0.ts);
+            let edge_pred = predicate.edge_predicate();
+            let vf = predicate.vertex_filter();
+            let ids = graph.edge_ids_in_window(TimeWindow::new(window.start, t0.saturating_sub(1)));
+            self.edge_scans = 2 * ids.len() as u64;
+
+            self.earliest[w as usize] = window.start.saturating_sub(1);
+            self.fwd_epoch[w as usize] = self.epoch;
+            self.union_members.push(w);
+            for id in ids.clone() {
+                let e = graph.edge(id);
+                if !edge_pred.accepts(&e) || !vf.accepts(e.dst) {
+                    continue;
+                }
+                let su = e.src as usize;
+                if self.fwd_epoch[su] == self.epoch && self.earliest[su] < e.ts {
+                    let sd = e.dst as usize;
+                    if self.fwd_epoch[sd] != self.epoch || self.earliest[sd] > e.ts {
+                        if self.fwd_epoch[sd] != self.epoch {
+                            self.union_members.push(e.dst);
+                        }
+                        self.earliest[sd] = e.ts;
+                        self.fwd_epoch[sd] = self.epoch;
+                    }
+                }
+            }
+
+            self.latest_dep[u as usize] = t0;
+            self.bwd_epoch[u as usize] = self.epoch;
+            for id in ids.rev() {
+                let e = graph.edge(id);
+                if !edge_pred.accepts(&e) || !vf.accepts(e.src) {
+                    continue;
+                }
+                let sd = e.dst as usize;
+                if self.bwd_epoch[sd] == self.epoch && self.latest_dep[sd] > e.ts {
+                    let su = e.src as usize;
+                    if self.bwd_epoch[su] != self.epoch || self.latest_dep[su] < e.ts {
+                        self.latest_dep[su] = e.ts;
+                        self.bwd_epoch[su] = self.epoch;
+                    }
+                }
+            }
+
+            self.retain_backward_reachable_members();
+            self.fwd_epoch[u as usize] == self.epoch && self.bwd_epoch[w as usize] == self.epoch
+        }
+    }
+
+    /// A random attributed multigraph on few vertices over a narrow time
+    /// range, so parallel edges, self-loops, tied timestamps and roots at
+    /// tied timestamps are all common.
+    fn random_multigraph(rng: &mut StdRng) -> TemporalGraph {
+        let n = rng.gen_range(2..9u32);
+        let mut b = GraphBuilder::with_vertices(n as usize);
+        for _ in 0..rng.gen_range(0..60usize) {
+            b.push_attr_edge(TemporalEdge::with_attrs(
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..20i64),
+                rng.gen_range(0..100u64),
+                rng.gen_range(0..3u32) as u16,
+            ));
+        }
+        b.build()
+    }
+
+    /// Pass-all, an amount floor or a label allow-list, optionally combined
+    /// with a vertex deny- or allow-list.
+    fn random_predicate(rng: &mut StdRng, n: u32) -> CyclePredicate {
+        let edge = match rng.gen_range(0..3u32) {
+            0 => EdgePredicate::pass_all(),
+            1 => EdgePredicate::pass_all().min_amount(rng.gen_range(0..60u64)),
+            _ => EdgePredicate::pass_all()
+                .labels(LabelFilter::allow([rng.gen_range(0..3u32) as u16])),
+        };
+        let pred = CyclePredicate::from(edge);
+        match rng.gen_range(0..4u32) {
+            0 => pred.vertices(VertexFilter::deny(vec![rng.gen_range(0..n)])),
+            1 => pred.vertices(VertexFilter::allow(
+                (0..n).filter(|_| rng.gen_bool(0.7)).collect::<Vec<_>>(),
+            )),
+            _ => pred,
+        }
+    }
+
+    #[test]
+    fn temporal_before_walks_match_the_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut reachable_roots = 0usize;
+        let mut dropped = 0usize;
+        for case in 0..400 {
+            let g = random_multigraph(&mut rng);
+            let n = g.num_vertices() as u32;
+            let mut walk = CycleUnionWorkspace::new(g.num_vertices());
+            let mut scan = CycleUnionWorkspace::new(g.num_vertices());
+            for root in 0..g.num_edges() as EdgeId {
+                let t0 = g.edge(root).ts;
+                // A window floor (the stream's retention) on top of t0 - δ.
+                let start = (t0 - rng.gen_range(0..25i64)).max(rng.gen_range(-1..20i64));
+                let window = TimeWindow::new(start, t0);
+                let pred = random_predicate(&mut rng, n);
+                let ctx = format!("case {case} root {root} window {window:?} pred {pred:?}");
+                let got = walk.compute_temporal_before(&g, root, window, &pred);
+                let want = scan.compute_temporal_before_scan(&g, root, window, &pred);
+                assert_eq!(got, want, "{ctx}");
+                // Members are listed once each and are exactly the union.
+                let mut members = walk.union_members().to_vec();
+                members.sort_unstable();
+                members.dedup();
+                assert_eq!(members.len(), walk.union_size(), "{ctx}");
+                let in_union = (0..n).filter(|&v| walk.in_union(v)).count();
+                assert_eq!(in_union, walk.union_size(), "{ctx}");
+                if !got {
+                    assert_eq!(walk.union_size(), 0, "{ctx}");
+                    continue;
+                }
+                reachable_roots += 1;
+                for &v in walk.union_members() {
+                    assert!(scan.in_union(v), "{ctx} vertex {v}");
+                    assert_eq!(
+                        walk.earliest_arrival(v),
+                        scan.earliest_arrival(v),
+                        "{ctx} {v}"
+                    );
+                    assert_eq!(
+                        walk.latest_departure(v),
+                        scan.latest_departure(v),
+                        "{ctx} {v}"
+                    );
+                }
+                if window.start > t0 {
+                    // A floor above the root admits no path edge: only the
+                    // seeded endpoints of a self-loop root remain.
+                    assert_eq!(walk.union_members(), scan.union_members(), "{ctx}");
+                    continue;
+                }
+                // The restriction drops exactly the old members that cannot
+                // leave after they are first reached.
+                for &v in scan.union_members() {
+                    let can_leave = scan.latest_departure(v) > scan.earliest_arrival(v);
+                    assert_eq!(walk.in_union(v), can_leave, "{ctx} vertex {v}");
+                    dropped += usize::from(!can_leave);
+                }
+            }
+        }
+        // The sweep must exercise both reachable roots and dropped members.
+        assert!(reachable_roots > 100, "{reachable_roots} reachable roots");
+        assert!(dropped > 0, "no union member was ever dropped");
+    }
+
+    #[test]
+    fn temporal_before_cost_follows_the_head_not_the_window() {
+        // 10k edges among vertices 2..=51 inside the window, and a root 0 → 1
+        // whose head has no out-edges at all before the root.
+        let mut b = GraphBuilder::new();
+        for i in 0..10_000u32 {
+            b.push_edge(2 + i % 50, 2 + (i * 7 + 1) % 50, 1 + i64::from(i));
+        }
+        b.push_edge(1, 0, 20_000); // after the root: never admissible
+        b.push_edge(0, 1, 15_000); // the root
+        let g = b.build();
+        let root = g.edge_ids().find(|(_, e)| e.ts == 15_000).unwrap().0;
+        let window = TimeWindow::new(0, 15_000);
+        let pred = CyclePredicate::pass_all();
+        let mut ws = CycleUnionWorkspace::new(g.num_vertices());
+        assert!(!ws.compute_temporal_before(&g, root, window, &pred));
+        assert_eq!(ws.edge_scans(), 0);
+        assert_eq!(ws.union_size(), 0);
+        // The linear scan reads the whole window in both directions.
+        assert!(!ws.compute_temporal_before_scan(&g, root, window, &pred));
+        assert_eq!(ws.edge_scans(), 20_000);
+    }
 
     #[test]
     fn simple_union_on_triangle() {
@@ -820,8 +1100,6 @@ mod tests {
 
     #[test]
     fn predicates_filter_union_passes() {
-        use crate::predicate::{EdgePredicate, LabelFilter};
-        use crate::types::TemporalEdge;
         // Two disjoint return paths from 1 to 0: a cheap one (amounts 10)
         // through vertex 2 and an expensive one (amounts 1000) through 3.
         // Rooting the closing edge 0→1? No — root is the max edge 3→0 below.

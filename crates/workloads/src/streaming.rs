@@ -910,6 +910,55 @@ pub fn run_independent_portfolio(
 mod tests {
     use super::*;
 
+    /// The temporal `_before` pass costs what each root's walks touch: on the
+    /// default ring stream it examines under a tenth of the edges a linear
+    /// scan of every root's δ-window (once per direction) would read.
+    #[test]
+    fn temporal_union_pass_scans_a_fraction_of_the_window() {
+        use pce_core::delta::delta_temporal_with_scratch;
+        use pce_core::seq::RootScratch;
+        use pce_core::{CountingSink, CyclePredicate, TemporalCycleOptions};
+        use pce_graph::stream::SlidingWindowGraph;
+        use pce_graph::{GraphView, TimeWindow};
+
+        let cfg = StreamScenarioConfig::default();
+        let (graph, _) = transaction_rings(cfg.ring);
+        let opts = TemporalCycleOptions {
+            window_delta: cfg.window_delta,
+            max_len: cfg.max_len,
+        };
+        let mut window = SlidingWindowGraph::new(cfg.retention);
+        let mut scratch = RootScratch::new(0);
+        let (mut scans, mut linear, mut cycles) = (0u64, 0u64, 0u64);
+        for batch in replay_batches(&graph, cfg.batch_edges) {
+            let roots = window.append_batch(&batch).expect("in-order replay").roots;
+            scratch.ensure_vertices(window.num_vertices());
+            let stats = delta_temporal_with_scratch(
+                &window,
+                roots.clone(),
+                Timestamp::MIN,
+                &opts,
+                &CyclePredicate::pass_all(),
+                &CountingSink::new(),
+                &mut scratch,
+            );
+            scans += stats.work.total_union_edge_scans();
+            cycles += stats.cycles;
+            for root in roots {
+                let e = window.edge(root);
+                if e.src != e.dst {
+                    let path_edges = TimeWindow::new(e.ts - cfg.window_delta, e.ts - 1);
+                    linear += 2 * window.edge_ids_in_window(path_edges).len() as u64;
+                }
+            }
+        }
+        assert!(cycles >= cfg.ring.num_rings as u64, "{cycles} cycles");
+        assert!(
+            scans * 10 < linear,
+            "walks examined {scans} edges, a linear scan would read {linear}"
+        );
+    }
+
     #[test]
     fn replay_preserves_every_edge_in_order() {
         let (graph, _) = transaction_rings(StreamScenarioConfig::smoke().ring);

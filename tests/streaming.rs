@@ -34,14 +34,28 @@ fn replay_stream(
     retention: i64,
     threads: usize,
 ) -> (Vec<StreamCycle>, StreamingEngine) {
+    let (union, engine, _) = replay_stream_counted(batches, query, retention, threads);
+    (union, engine)
+}
+
+/// [`replay_stream`] that also returns the stream's total union edge scans
+/// (a deterministic counter every driver must agree on).
+fn replay_stream_counted(
+    batches: &[Vec<TemporalEdge>],
+    query: StreamingQuery,
+    retention: i64,
+    threads: usize,
+) -> (Vec<StreamCycle>, StreamingEngine, u64) {
     let mut engine =
         StreamingEngine::with_threads(retention, query, threads).expect("valid streaming config");
     let mut union: Vec<StreamCycle> = Vec::new();
+    let mut scans = 0u64;
     for batch in batches {
         let report = engine.ingest(batch).expect("in-order replay");
+        scans += report.stats.work.total_union_edge_scans();
         union.extend(report.cycles);
     }
-    (sort_canonical(&union), engine)
+    (sort_canonical(&union), engine, scans)
 }
 
 /// Replays `graph`'s edges (already in stream order) in batches of
@@ -302,7 +316,8 @@ fn sweep_stream(seed: u64, batch_edges: usize) -> Vec<Vec<TemporalEdge>> {
 /// (including expiry-straddling ones) must produce **byte-identical** cycle
 /// sets — equal to a one-shot enumeration over the final snapshot once
 /// restricted to cycles that survive in the final window, and equal to each
-/// other batch by batch.
+/// other batch by batch — and examine the same number of edges in their
+/// union passes.
 #[test]
 fn granularity_sweep_is_byte_identical_to_one_shot() {
     let base = sweep_seed();
@@ -328,18 +343,25 @@ fn granularity_sweep_is_byte_identical_to_one_shot() {
                 for batch_edges in [1, 9, 45] {
                     let batches = sweep_stream(seed, batch_edges);
                     let mut reference_union: Option<Vec<StreamCycle>> = None;
+                    let mut reference_scans: Option<u64> = None;
                     for granularity in [
                         Granularity::Sequential,
                         Granularity::CoarseGrained,
                         Granularity::FineGrained,
                     ] {
                         for threads in [1, 4] {
-                            let (union, engine) = replay_stream(
+                            let (union, engine, scans) = replay_stream_counted(
                                 &batches,
                                 streaming_query.clone().granularity(granularity),
                                 retention,
                                 threads,
                             );
+                            // … with the same union-pass work …
+                            let ctx = format!(
+                                "seed {seed} {label} retention {retention} batch \
+                                 {batch_edges} {granularity:?} threads {threads}"
+                            );
+                            assert_eq!(*reference_scans.get_or_insert(scans), scans, "{ctx}");
                             // Every configuration reports the same union …
                             match &reference_union {
                                 None => reference_union = Some(union.clone()),
@@ -382,7 +404,8 @@ fn granularity_sweep_is_byte_identical_to_one_shot() {
 /// The scheduling-strategy differential sweep: at [`Granularity::FineGrained`]
 /// the work-stealing and work-assisting drivers must report **byte-identical**
 /// cycles per batch *and* agree on every deterministic work counter (edge
-/// visits, recursive calls, copies, union members, roots) — only the
+/// visits, recursive calls, copies, union members, union edge scans, roots)
+/// — only the
 /// steal/join/assist scheduling counters may differ. Seeded streams × threads
 /// {1, 4} × batch sizes including expiry-straddling ones, for both cycle
 /// kinds. Base seed from `PCE_SWEEP_SEED` (echoed by CI; every assertion
@@ -453,6 +476,11 @@ fn sched_strategy_sweep_is_byte_identical() {
                             assert_eq!(
                                 sr.stats.work.total_union_members(),
                                 ar.stats.work.total_union_members(),
+                                "{ctx} batch index {b}"
+                            );
+                            assert_eq!(
+                                sr.stats.work.total_union_edge_scans(),
+                                ar.stats.work.total_union_edge_scans(),
                                 "{ctx} batch index {b}"
                             );
                             assert_eq!(
