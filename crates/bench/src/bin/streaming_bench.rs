@@ -9,13 +9,9 @@
 //! end to end), mean / p50 / p95 / max per-batch latency, and the cycle total
 //! (which must be identical across every configuration — checked). The
 //! hub-burst section then shows the coarse driver pinning a skewed burst to
-//! one worker while the fine-grained driver spreads it via steals.
-//!
-//! The **sched** section compares the two fine-grained scheduling strategies
-//! head to head: the same hub burst and sustained stream run under the
-//! work-stealing deques and under the packed-atomic work-assisting loop,
-//! reporting burst latency, steal/assist/join counts and edges/sec for each,
-//! and asserting both strategies report identical cycle totals.
+//! one worker while the fine-grained driver spreads it via steals, against a
+//! 1-thread sequential row, and checks that the fine driver copies search
+//! state only on a steal (`copy_events <= steals + roots`).
 //!
 //! The **multi_query** section measures the shared-ingest win of
 //! [`pce_core::MultiStreamingEngine`]: one engine serving 1/2/4/8 mixed-portfolio
@@ -73,13 +69,13 @@
 //! machine-readable JSON document (`{"smoke": …, "sections": {…}}`), so the
 //! perf trajectory can be tracked across PRs without scraping stdout.
 
-use pce_core::{FanOutStrategy, Granularity, SchedStrategy};
+use pce_core::{FanOutStrategy, Granularity};
 use pce_workloads::durability::{run_durability, DurabilityConfig, StoreBackend};
 use pce_workloads::predicate::{run_predicate_comparison, PredicateScenarioConfig};
 use pce_workloads::streaming::{
-    run_fan_out_scale, run_hub_burst, run_hub_burst_sched, run_independent_portfolio,
-    run_multi_tenant, run_sharded_scale, run_stream_scenario, FanOutScaleConfig, HubBurstConfig,
-    MultiTenantConfig, ShardedScaleConfig, StreamScenarioConfig,
+    run_fan_out_scale, run_hub_burst, run_independent_portfolio, run_multi_tenant,
+    run_sharded_scale, run_stream_scenario, FanOutScaleConfig, HubBurstConfig, MultiTenantConfig,
+    ShardedScaleConfig, StreamScenarioConfig,
 };
 
 fn granularity_name(g: Granularity) -> &'static str {
@@ -87,13 +83,6 @@ fn granularity_name(g: Granularity) -> &'static str {
         Granularity::Sequential => "seq",
         Granularity::CoarseGrained => "coarse",
         Granularity::FineGrained => "fine",
-    }
-}
-
-fn sched_name(s: SchedStrategy) -> &'static str {
-    match s {
-        SchedStrategy::Stealing => "stealing",
-        SchedStrategy::Assisting => "assisting",
     }
 }
 
@@ -275,6 +264,8 @@ fn streaming_section(
 }
 
 /// The skewed case: one closing edge completes every cycle of the batch.
+/// A 1-thread sequential row is the baseline the parallel rows are judged
+/// against.
 fn hub_burst_section(
     smoke: bool,
     granularities: &[Granularity],
@@ -287,46 +278,60 @@ fn hub_burst_section(
         HubBurstConfig::default()
     };
     println!(
-        "\nhub burst (width {}, depth {}: {} cycles through one closing edge, {} threads)",
+        "\nhub burst (width {}, depth {}: {} cycles through one closing edge)",
         hub.width,
         hub.depth,
         hub.expected_cycles(),
-        hub_threads,
     );
     println!(
-        "{:>8} {:>10} {:>12} {:>8} {:>12}",
-        "gran", "burst ms", "busy wrk", "steals", "cycles"
+        "{:>8} {:>8} {:>10} {:>12} {:>8} {:>8} {:>12}",
+        "gran", "threads", "burst ms", "busy wrk", "steals", "copies", "cycles"
     );
+    let multicore = hub_threads > 1 && pce_sched::available_parallelism() >= 2;
+    let rows = std::iter::once((Granularity::Sequential, 1))
+        .chain(granularities.iter().map(|&g| (g, hub_threads)));
     let mut hub_cycles: Option<u64> = None;
-    for &granularity in granularities {
-        let report = run_hub_burst(&hub, hub_threads, granularity).expect("valid hub-burst config");
+    for (granularity, threads) in rows {
+        let fine = granularity == Granularity::FineGrained && threads > 1;
+        let report = run_hub_burst(&hub, threads, granularity).expect("valid hub-burst config");
+        let work = &report.burst_stats.work;
         println!(
-            "{:>8} {:>10.3} {:>12} {:>8} {:>12}",
+            "{:>8} {:>8} {:>10.3} {:>12} {:>8} {:>8} {:>12}",
             granularity_name(granularity),
+            threads,
             report.burst_secs * 1e3,
             report.busy_workers(),
-            report.burst_stats.work.total_steals(),
+            work.total_steals(),
+            work.total_copies(),
             report.cycles,
         );
         log.push(
             "hub_burst",
             vec![
-                ("threads", hub_threads.into()),
+                ("threads", threads.into()),
                 ("granularity", granularity_name(granularity).into()),
                 ("burst_ms", (report.burst_secs * 1e3).into()),
                 ("busy_workers", report.busy_workers().into()),
-                ("steals", report.burst_stats.work.total_steals().into()),
+                ("steals", work.total_steals().into()),
+                ("copy_events", work.total_copies().into()),
                 ("cycles", report.cycles.into()),
             ],
         );
-        if granularity == Granularity::FineGrained
-            && hub_threads > 1
-            && pce_sched::available_parallelism() >= 2
-        {
+        if fine {
             assert!(
-                report.busy_workers() > 1 && report.burst_stats.work.total_steals() > 0,
-                "fine-grained delta must spread a single-root burst across workers"
+                work.total_copies() <= work.total_steals() + work.total_roots(),
+                "fine-grained delta must copy search state only on a steal \
+                 ({} copies, {} steals, {} roots)",
+                work.total_copies(),
+                work.total_steals(),
+                work.total_roots()
             );
+            if multicore {
+                assert!(
+                    report.busy_workers() > 1 && work.total_steals() > 0,
+                    "fine-grained delta must spread a single-root burst across workers"
+                );
+            }
         }
         match hub_cycles {
             None => hub_cycles = Some(report.cycles),
@@ -334,102 +339,6 @@ fn hub_burst_section(
         }
     }
     println!("ok: hub burst agrees across granularities");
-}
-
-/// The scheduler-strategy section: the same fine-grained hub burst and
-/// sustained stream run once under the work-stealing driver and once under
-/// the work-assisting loop, so the `--json` trajectory carries steal counts,
-/// assist/join counts, and edges/sec side by side. Cycle totals must match
-/// exactly — the two drivers enumerate the identical delta.
-fn sched_section(smoke: bool, threads: usize, log: &mut JsonLog) {
-    let hub = if smoke {
-        HubBurstConfig::smoke()
-    } else {
-        HubBurstConfig::default()
-    };
-    let scenario = if smoke {
-        StreamScenarioConfig::smoke()
-    } else {
-        StreamScenarioConfig::default()
-    };
-    println!(
-        "\nscheduler strategy (fine granularity, {} threads): work-stealing vs \
-         work-assisting on hub burst (width {}, depth {}) and sustained stream",
-        threads, hub.width, hub.depth,
-    );
-    println!(
-        "{:>10} {:>10} {:>8} {:>8} {:>8} {:>12} {:>12}",
-        "strategy", "burst ms", "steals", "assists", "joins", "cycles", "edges/s"
-    );
-    let multicore = threads > 1 && pce_sched::available_parallelism() >= 2;
-    let mut totals: Option<(u64, u64)> = None;
-    for sched in [SchedStrategy::Stealing, SchedStrategy::Assisting] {
-        let burst = run_hub_burst_sched(&hub, threads, Granularity::FineGrained, sched)
-            .expect("valid hub-burst config");
-        let stream = run_stream_scenario(
-            &scenario
-                .clone()
-                .with_granularity(Granularity::FineGrained)
-                .with_sched(sched),
-            threads,
-        )
-        .expect("valid stream scenario");
-        let steals = burst.burst_stats.work.total_steals();
-        let assists = burst.burst_stats.work.total_assists();
-        let joins = burst.burst_stats.work.total_joins();
-        println!(
-            "{:>10} {:>10.3} {:>8} {:>8} {:>8} {:>12} {:>12.0}",
-            sched_name(sched),
-            burst.burst_secs * 1e3,
-            steals,
-            assists,
-            joins,
-            burst.cycles,
-            stream.sustained_edges_per_sec(),
-        );
-        log.push(
-            "sched",
-            vec![
-                ("strategy", sched_name(sched).into()),
-                ("threads", threads.into()),
-                ("burst_ms", (burst.burst_secs * 1e3).into()),
-                ("steals", steals.into()),
-                ("assists", assists.into()),
-                ("joins", joins.into()),
-                ("cycles", burst.cycles.into()),
-                ("stream_cycles", stream.total_cycles.into()),
-                ("edges_per_sec", stream.sustained_edges_per_sec().into()),
-            ],
-        );
-        // Each driver records only its own scheduling events: stealing never
-        // joins an assisting loop, assisting never touches the steal deques.
-        match sched {
-            SchedStrategy::Stealing => {
-                assert_eq!(joins, 0, "stealing driver must not record joins");
-                if multicore {
-                    assert!(
-                        steals > 0,
-                        "stealing driver must record steals on the burst"
-                    );
-                }
-            }
-            SchedStrategy::Assisting => {
-                assert_eq!(steals, 0, "assisting driver must not record steals");
-                if multicore {
-                    assert!(joins > 0, "assisting driver must record joins on the burst");
-                }
-            }
-        }
-        match totals {
-            None => totals = Some((burst.cycles, stream.total_cycles)),
-            Some(expected) => assert_eq!(
-                (burst.cycles, stream.total_cycles),
-                expected,
-                "cycle totals diverged across scheduling strategies"
-            ),
-        }
-    }
-    println!("ok: both strategies report identical cycle totals");
 }
 
 /// The multi-query subscription section: shared engine vs one engine per
@@ -997,14 +906,13 @@ fn main() {
     let max_threads = *thread_counts.last().expect("non-empty thread counts");
 
     // Section selectors: with none given, every section runs; naming any
-    // subset (`streaming`, `hub_burst`, `sched`, `multi_query`, `fan_out`,
+    // subset (`streaming`, `hub_burst`, `multi_query`, `fan_out`,
     // `predicate`, `sharded`, `durability`) runs only those. Unknown positional tokens
     // are an error, not a silent run-all — a typoed section name in CI must
     // fail fast, not change the gate.
-    const SECTIONS: [&str; 8] = [
+    const SECTIONS: [&str; 7] = [
         "streaming",
         "hub_burst",
-        "sched",
         "multi_query",
         "fan_out",
         "predicate",
@@ -1032,9 +940,6 @@ fn main() {
     }
     if runs("hub_burst") {
         hub_burst_section(smoke, &granularities, max_threads, &mut log);
-    }
-    if runs("sched") {
-        sched_section(smoke, max_threads, &mut log);
     }
     if runs("multi_query") {
         for &granularity in &granularities {

@@ -29,18 +29,14 @@
 //!   (§4): work efficient, but a batch whose cycles all hang off one hot root
 //!   collapses to a single worker;
 //! * **fine-grained** ([`delta_simple_fine`] / [`delta_temporal_fine`]) —
-//!   every recursion level of a rooted search is a copyable task on the
-//!   pool's work-stealing deques (§5/§7 applied to the backward search), so
-//!   even a single-root burst engages all workers. The per-root pruning state
-//!   is snapshot into a shared `UnionView` once and read-only thereafter.
-//!
-//! A fourth driver pair ([`delta_simple_assist`] / [`delta_temporal_assist`])
-//! runs the *same* fine-grained decomposition under work-**assisting**
-//! scheduling: instead of boxing each branch as a stealable task, idle
-//! workers join per-level [`WorkAssistingLoop`]s in place (one packed atomic
-//! per level — see `run_delta_fine_assist`). Reports and deterministic work
-//! counters are identical to the stealing driver's, which makes the two
-//! mutual differential oracles.
+//!   the paper's copy-on-steal (§5) applied to the backward search: each
+//!   closing root's search runs on an explicit frame stack registered in a
+//!   [`StealLoop`]; the owner claims branches from its deepest frame (the
+//!   sequential order, with no per-call allocation) while idle workers split
+//!   the shallowest frame's next branch off and copy the path prefix only
+//!   then, so even a single-root burst engages all workers. The per-root
+//!   pruning state is snapshot into a shared `UnionView` once and read-only
+//!   thereafter, and with no blocked set a steal needs no unblock pass.
 //!
 //! Everything here is generic over [`GraphView`], so the same code serves the
 //! immutable [`TemporalGraph`](pce_graph::TemporalGraph) and the streaming
@@ -116,15 +112,15 @@ use crate::metrics::{RunStats, ShardStats, WorkMetrics};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
 use crate::seq::{timed_run, RootScratch};
 use crate::union::{UnionQuery, UnionView};
-use crate::util::{fx_set, FxHashSet};
+use crate::util::FxHashSet;
 use crate::{Algorithm, Granularity};
 use parking_lot::Mutex;
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{
-    Amount, CyclePredicate, EdgeId, GraphView, Position, ShardSpec, TemporalEdge, TimeWindow,
-    Timestamp, VertexFilter, VertexId,
+    AdjEntry, Amount, CyclePredicate, EdgeId, GraphView, Position, ShardSpec, TemporalEdge,
+    TimeWindow, Timestamp, VertexFilter, VertexId,
 };
-use pce_sched::{DynamicCounter, Scope, ThreadPool, WorkAssistingLoop, WorkerCtx};
+use pce_sched::{DynamicCounter, StealLoop, ThreadPool};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -210,7 +206,7 @@ fn admit_root(
 }
 
 /// Per-edge admission shared verbatim by the sequential search and the
-/// fine-grained task expansion: evaluates the pushed-down predicate parts
+/// fine-grained frame-stack expansion: evaluates the pushed-down predicate parts
 /// decidable from the candidate edge and the fixed path prefix — the
 /// per-edge attribute predicate, the monotone aggregate bounds (running
 /// total vs. ceiling, strict amount escalation below the root's amount), and
@@ -1076,7 +1072,7 @@ pub fn delta_temporal_sharded_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
 }
 
 /// The constraint set of one fine-grained delta run: which cycle definition
-/// the copyable tasks enforce while extending a path.
+/// the frame-stack searches enforce while extending a path.
 #[derive(Clone, Copy)]
 enum FineDeltaMode<'a> {
     Simple(&'a SimpleCycleOptions),
@@ -1091,27 +1087,19 @@ impl FineDeltaMode<'_> {
             FineDeltaMode::Temporal(o) => o.len_ok(len),
         }
     }
+
+    #[inline]
+    fn is_temporal(&self) -> bool {
+        matches!(self, FineDeltaMode::Temporal(_))
+    }
 }
 
-/// Immutable state shared by every task of one fine-grained delta run.
-struct FineDeltaShared<'a, G: ?Sized, S> {
-    graph: &'a G,
-    sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    mode: FineDeltaMode<'a>,
-    /// Whole-cycle predicate pushed into every task of the run.
-    predicate: &'a CyclePredicate,
-    /// Cached pushdown flags (see [`Pushdown`]).
-    push: Pushdown,
-}
-
-/// One copyable recursion level of a fine-grained delta search: extend the
-/// path from its tip. The per-root pruning state ([`UnionView`], the mirrored
-/// closing-time bounds) is read-only, so a task only needs private copies of
-/// the path buffers — the same property that makes the one-shot temporal
-/// searches decomposable in [`crate::par::fine_temporal`], applied to the
-/// backward, max-edge-rooted search.
-struct FineDeltaTask {
+/// The per-root constants of one delta search, shared by its owner and by
+/// every search stolen from it. The pruning state is the root's union pass
+/// snapshot into a read-only [`UnionView`], so a thief shares it instead of
+/// copying it.
+#[derive(Clone)]
+struct RootBounds {
     /// The root (maximum) edge; simple-mode path edges must stay below it.
     root: EdgeId,
     /// The root's tail `u` — reaching it closes a cycle.
@@ -1120,262 +1108,418 @@ struct FineDeltaTask {
     window: TimeWindow,
     /// Temporal: upper timestamp bound for path edges (`t0 - 1`).
     t_last: Timestamp,
-    /// Temporal: arrival time at the tip (the next edge must be later).
-    arrival: Timestamp,
     /// Amount of the root edge — under monotonicity every path edge must
     /// stay strictly below it.
     root_amount: Amount,
-    /// Running saturating total of the root and all path edges.
-    sum: Amount,
-    /// Amount of the last path edge (meaningful iff `path_edges` is
-    /// non-empty).
-    last_amount: Amount,
     union: Arc<UnionView>,
+}
+
+impl RootBounds {
+    /// The window of the out-edges that may leave a tip reached at
+    /// `arrival` (temporal: strictly later, and before the root).
+    #[inline]
+    fn window_after(&self, mode: FineDeltaMode<'_>, arrival: Timestamp) -> TimeWindow {
+        if mode.is_temporal() {
+            TimeWindow::new(arrival.saturating_add(1), self.t_last)
+        } else {
+            self.window
+        }
+    }
+
+    /// Could `entry`, leaving a tip after `prefix_edges` path edges, extend
+    /// the path rather than close or die? Decided from the root's constants
+    /// alone (no counters, no path state), so a thief can ask it under the
+    /// victim's lock; a `true` may still be pruned when the entry is run.
+    fn may_extend(&self, mode: FineDeltaMode<'_>, entry: &AdjEntry, prefix_edges: usize) -> bool {
+        (mode.is_temporal() || entry.edge < self.root)
+            && entry.neighbor != self.target
+            && self.union.in_union(entry.neighbor)
+            && self.union.can_close_after(entry.neighbor, entry.ts)
+            && mode.len_ok(prefix_edges + 3)
+    }
+}
+
+/// One recursion level of a frame-stack delta search: the tip's admissible
+/// out-edges and the aggregate state of the path reaching the tip. The
+/// entries are a sub-slice of the graph's adjacency (for temporal searches
+/// already cut to timestamps after the arrival at the tip), so pushing a
+/// frame allocates nothing and a stolen frame carries its arrival bound.
+#[derive(Clone, Copy)]
+struct Frame<'g> {
+    entries: &'g [AdjEntry],
+    /// Index of the next unclaimed entry.
+    next: usize,
+    /// Running saturating total of the root and the path edges to the tip.
+    sum: Amount,
+    /// Amount of the last path edge (meaningful iff the path has an edge).
+    last_amount: Amount,
+}
+
+/// The mutable state of one running search — a root's, or a stolen
+/// branch's. `frames[i]` explores the tip of a path of `base + i` vertices.
+#[derive(Default)]
+struct SearchState<'g> {
+    base: usize,
     path: Vec<VertexId>,
     path_edges: Vec<EdgeId>,
     on_path: FxHashSet<VertexId>,
-    /// Worker that spawned this task; executing it elsewhere is a steal.
-    spawned_by: usize,
+    frames: Vec<Frame<'g>>,
+    /// Unclaimed entries over all frames.
+    unclaimed: usize,
+    /// Scratch for the close-time whole-cycle re-check.
+    edge_buf: Vec<TemporalEdge>,
 }
 
-/// Expands one task: scans the admissible out-edges of the path tip, reports
-/// the cycles it closes and hands every continuable branch to `emit` as a
-/// fresh child task (stamped `spawned_by: worker`). The expansion — and its
-/// per-task metrics: one recursive call, one edge visit per scanned entry,
-/// one copy per emitted child — is shared verbatim by the two fine-grained
-/// schedulers, which differ only in where children go: the *stealing* driver
-/// spawns them onto the worker's deque, the *assisting* driver collects them
-/// into the next frontier level. That shared body is what makes the two
-/// strategies differentially comparable counter-for-counter.
-fn expand_fine_task<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &FineDeltaShared<'_, G, S>,
-    task: &mut FineDeltaTask,
-    worker: usize,
-    mut emit: impl FnMut(FineDeltaTask),
-) {
-    shared.metrics.recursive_call(worker);
-    let v = *task.path.last().expect("path never empty");
-    let (window, temporal) = match shared.mode {
-        FineDeltaMode::Simple(_) => (task.window, false),
-        FineDeltaMode::Temporal(_) => (
-            TimeWindow::new(task.arrival.saturating_add(1), task.t_last),
-            true,
-        ),
-    };
-    let mut edge_buf = Vec::new();
-    for &entry in shared.graph.out_edges_in_window(v, window) {
-        if shared.sink.stopped() {
-            break;
+impl SearchState<'_> {
+    /// A worker's search state for one run, built on the path buffers of
+    /// its persistent scratch (the frames borrow the run's graph, so they
+    /// are the run's own).
+    fn lend(scratch: &mut RootScratch) -> Self {
+        Self {
+            path: std::mem::take(&mut scratch.path),
+            path_edges: std::mem::take(&mut scratch.path_edges),
+            on_path: std::mem::take(&mut scratch.on_path),
+            edge_buf: std::mem::take(&mut scratch.edge_buf),
+            ..Self::default()
         }
-        shared.metrics.edge_visit(worker);
-        if !temporal && entry.edge >= task.root {
-            // Temporal admissibility is already timestamp-bounded by
-            // `t_last < t0` (ids refine timestamp order).
-            continue;
+    }
+
+    /// Hands the path buffers back to the scratch for the next run.
+    fn give_back(self, scratch: &mut RootScratch) {
+        scratch.path = self.path;
+        scratch.path_edges = self.path_edges;
+        scratch.on_path = self.on_path;
+        scratch.edge_buf = self.edge_buf;
+    }
+}
+
+/// A registered, stealable search.
+struct FineSearch<'g> {
+    bounds: RootBounds,
+    /// Held by the owner across its steps, so a step costs no lock round
+    /// trip; handed over whenever `thieves` is non-zero.
+    state: Mutex<SearchState<'g>>,
+    /// Lock-free hint that `state` holds unclaimed entries.
+    stealable: AtomicBool,
+    /// Thieves waiting for `state`.
+    thieves: AtomicUsize,
+}
+
+impl<'g> FineSearch<'g> {
+    /// Splits work off this search for an idle worker: the unclaimed entries
+    /// of the shallowest frame up to and including the first one that
+    /// [may extend](RootBounds::may_extend) the path (all of them if none
+    /// may). Only now is state copied (copy-on-steal): the path prefix of
+    /// that frame, its edges and `on_path` go into the thief's recycled
+    /// buffers `into`, together with the frame's `sum`/`last_amount`; the
+    /// root's bounds and union are shared. Counts the thief's search as
+    /// outstanding in `sched` before releasing the victim.
+    fn split(
+        &self,
+        mode: FineDeltaMode<'_>,
+        into: &mut SearchState<'g>,
+        sched: &StealLoop<FineSearch<'g>>,
+        metrics: &WorkMetrics,
+        worker: usize,
+    ) -> Option<RootBounds> {
+        if !self.stealable.load(Ordering::Relaxed) {
+            return None;
         }
-        let Some((sum, amount)) = admit_edge(
-            shared.graph,
-            shared.predicate,
-            shared.push,
-            entry.edge,
-            task.path_edges.len(),
-            task.root_amount,
-            task.sum,
-            task.last_amount,
-            shared.metrics,
-            worker,
-        ) else {
-            continue;
+        self.thieves.fetch_add(1, Ordering::AcqRel);
+        let mut guard = self.state.lock();
+        self.thieves.fetch_sub(1, Ordering::AcqRel);
+        let st = &mut *guard;
+        let Some(depth) = st.frames.iter().position(|f| f.next < f.entries.len()) else {
+            self.stealable.store(false, Ordering::Relaxed);
+            return None;
         };
-        let w = entry.neighbor;
-        if w == task.target {
-            if shared.mode.len_ok(task.path_edges.len() + 2) {
-                // Close on the owned buffers (push/pop, no allocation per
-                // cycle), mirroring the sequential DeltaSearch::close.
-                task.path.push(task.target);
-                task.path_edges.push(entry.edge);
-                task.path_edges.push(task.root);
-                if !shared.push.cycle_check
-                    || cycle_accepted(
-                        shared.graph,
-                        shared.predicate,
-                        &mut edge_buf,
-                        &task.path_edges,
-                    )
-                {
-                    shared.sink.push(&task.path, &task.path_edges);
-                }
-                task.path_edges.pop();
-                task.path_edges.pop();
-                task.path.pop();
-            }
-            continue;
+        let prefix = st.base + depth;
+        let frame = &mut st.frames[depth];
+        let rest = &frame.entries[frame.next..];
+        let take = rest
+            .iter()
+            .position(|e| self.bounds.may_extend(mode, e, prefix - 1))
+            .map_or(rest.len(), |k| k + 1);
+        let stolen = Frame {
+            entries: &rest[..take],
+            next: 0,
+            ..*frame
+        };
+        frame.next += take;
+        st.unclaimed -= take;
+        if st.unclaimed == 0 {
+            self.stealable.store(false, Ordering::Relaxed);
         }
-        if !shared.push.vf_any && !shared.predicate.vertex_filter().accepts(w) {
-            shared.metrics.vertex_prune(worker);
-            continue;
-        }
-        if task.on_path.contains(&w)
-            || !task.union.in_union(w)
-            || !task.union.can_close_after(w, entry.ts)
-            || !shared.mode.len_ok(task.path_edges.len() + 3)
-        {
-            continue;
-        }
-        // Spawn the child call as an independent task with its own copies.
-        shared.metrics.copy_event(worker);
-        let mut child_path = task.path.clone();
-        let mut child_edges = task.path_edges.clone();
-        let mut child_on_path = task.on_path.clone();
-        child_path.push(w);
-        child_edges.push(entry.edge);
-        child_on_path.insert(w);
-        emit(FineDeltaTask {
-            root: task.root,
-            target: task.target,
-            window: task.window,
-            t_last: task.t_last,
-            arrival: entry.ts,
-            root_amount: task.root_amount,
-            sum,
-            last_amount: amount,
-            union: Arc::clone(&task.union),
-            path: child_path,
-            path_edges: child_edges,
-            on_path: child_on_path,
-            spawned_by: worker,
-        });
+        sched.count_split();
+
+        metrics.copy_event(worker);
+        into.base = prefix;
+        into.path.clear();
+        into.path.extend_from_slice(&st.path[..prefix]);
+        into.path_edges.clear();
+        into.path_edges
+            .extend_from_slice(&st.path_edges[..prefix - 1]);
+        into.on_path.clear();
+        into.on_path.extend(into.path.iter().copied());
+        into.on_path.insert(self.bounds.target);
+        into.frames.clear();
+        into.frames.push(stolen);
+        into.unclaimed = take;
+        Some(self.bounds.clone())
     }
 }
 
-/// Runs one task under the *stealing* scheduler: children are spawned onto
-/// the executing worker's LIFO deque, so a lone busy worker keeps the
-/// sequential depth-first order while idle workers steal the shallowest —
-/// largest — subtrees.
-fn execute_fine_delta<'scope, G: GraphView + ?Sized, S: CycleSink>(
-    shared: &'scope FineDeltaShared<'scope, G, S>,
-    mut task: FineDeltaTask,
-    scope: &Scope<'scope>,
-    ctx: &WorkerCtx<'_>,
-) {
-    // A task scheduled after the sink stopped the run returns immediately
-    // (and spawns nothing), so the scope drains quickly.
-    if shared.sink.stopped() {
-        return;
-    }
-    let worker = ctx.worker_id();
-    if worker != task.spawned_by {
-        // The pool's deques did the actual theft; record it here, where the
-        // migrated task starts executing.
-        shared.metrics.steal_event(worker);
-    }
-    let start = Instant::now();
-    expand_fine_task(shared, &mut task, worker, |child| {
-        ctx.spawn(scope, move |scope, ctx| {
-            execute_fine_delta(shared, child, scope, ctx);
-        });
-    });
-    shared.metrics.add_busy(worker, start.elapsed());
+/// State shared by every worker of one fine-grained delta run.
+struct FineDeltaShared<'a, G: ?Sized, S> {
+    graph: &'a G,
+    sink: &'a HaltingSink<'a, S>,
+    metrics: &'a WorkMetrics,
+    mode: FineDeltaMode<'a>,
+    /// Whole-cycle predicate pushed into every search of the run.
+    predicate: &'a CyclePredicate,
+    /// Cached pushdown flags (see [`Pushdown`]).
+    push: Pushdown,
+    /// The batch's roots and every running search, open to thieves.
+    sched: StealLoop<FineSearch<'a>>,
 }
 
-/// Per-root preamble of the fine-grained drivers: floor / self-loop handling,
-/// the mirrored union pass into the worker's scratch, and the snapshot the
-/// root's tasks will share. Returns `None` when the root closes nothing.
-fn prepare_fine_root<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &FineDeltaShared<'_, G, S>,
-    root: EdgeId,
-    floor: Timestamp,
-    scratch: &mut RootScratch,
-    worker: usize,
-) -> Option<FineDeltaTask> {
-    let e = shared.graph.edge(root);
-    if e.ts < floor {
-        return None;
-    }
-    // The root edge is part of every cycle it closes.
-    if !admit_root(&e, shared.predicate, shared.metrics, worker) {
-        return None;
-    }
-    let (window, t_last, arrival, union) = match shared.mode {
-        FineDeltaMode::Simple(opts) => {
-            if e.src == e.dst {
+impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
+    /// Per-root preamble: floor / self-loop handling, the mirrored union pass
+    /// into the worker's scratch and its snapshot, and the root frame pushed
+    /// into the worker's recycled buffers `st`. Returns `None` when the root
+    /// closes nothing.
+    fn prepare_root(
+        &self,
+        root: EdgeId,
+        floor: Timestamp,
+        scratch: &mut RootScratch,
+        st: &mut SearchState<'a>,
+        worker: usize,
+    ) -> Option<RootBounds> {
+        let e = self.graph.edge(root);
+        if e.ts < floor {
+            return None;
+        }
+        // The root edge is part of every cycle it closes.
+        if !admit_root(&e, self.predicate, self.metrics, worker) {
+            return None;
+        }
+        if e.src == e.dst {
+            if let FineDeltaMode::Simple(opts) = self.mode {
                 if opts.include_self_loops
                     && opts.len_ok(1)
-                    && (!shared.push.cycle_check
-                        || shared
-                            .predicate
-                            .accepts_cycle_edges(std::slice::from_ref(&e)))
+                    && (!self.push.cycle_check
+                        || self.predicate.accepts_cycle_edges(std::slice::from_ref(&e)))
                 {
-                    shared.sink.push(&[e.src], &[root]);
+                    self.sink.push(&[e.src], &[root]);
                 }
-                return None;
             }
-            shared.metrics.root_processed(worker);
-            let start = e.ts.saturating_sub(opts.effective_delta()).max(floor);
-            let window = TimeWindow::new(start, e.ts);
-            let reachable =
-                scratch
-                    .union
-                    .compute_simple_before(shared.graph, root, window, shared.predicate);
-            record_union(shared.metrics, worker, &scratch.union);
-            if !reachable {
-                return None;
-            }
-            let union = Arc::new(UnionView::from_simple(&scratch.union));
-            (window, Timestamp::MIN, Timestamp::MIN, union)
+            return None;
         }
-        FineDeltaMode::Temporal(opts) => {
-            if e.src == e.dst {
-                return None;
-            }
-            shared.metrics.root_processed(worker);
-            let start = e.ts.saturating_sub(opts.window_delta).max(floor);
-            let window = TimeWindow::new(start, e.ts);
-            let reachable =
-                scratch
-                    .union
-                    .compute_temporal_before(shared.graph, root, window, shared.predicate);
-            record_union(shared.metrics, worker, &scratch.union);
-            if !reachable {
-                return None;
-            }
-            let union = Arc::new(UnionView::from_temporal(&scratch.union));
-            // Seeding the arrival one below the window start admits exactly
-            // first hops with ts >= start (same as the sequential driver).
-            (
-                window,
-                e.ts.saturating_sub(1),
-                window.start.saturating_sub(1),
-                union,
-            )
+        self.metrics.root_processed(worker);
+        let delta = match self.mode {
+            FineDeltaMode::Simple(opts) => opts.effective_delta(),
+            FineDeltaMode::Temporal(opts) => opts.window_delta,
+        };
+        let start = e.ts.saturating_sub(delta).max(floor);
+        let window = TimeWindow::new(start, e.ts);
+        let union = &mut scratch.union;
+        let reachable = if self.mode.is_temporal() {
+            union.compute_temporal_before(self.graph, root, window, self.predicate)
+        } else {
+            union.compute_simple_before(self.graph, root, window, self.predicate)
+        };
+        record_union(self.metrics, worker, union);
+        if !reachable {
+            return None;
         }
-    };
-    let mut on_path = fx_set();
-    on_path.insert(e.src);
-    on_path.insert(e.dst);
-    Some(FineDeltaTask {
-        root,
-        target: e.src,
-        window,
-        t_last,
-        arrival,
-        root_amount: e.amount,
-        sum: e.amount,
-        last_amount: 0,
-        union,
-        path: vec![e.dst],
-        path_edges: Vec::new(),
-        on_path,
-        spawned_by: worker,
-    })
+        let union = Arc::new(if self.mode.is_temporal() {
+            UnionView::from_temporal(union)
+        } else {
+            UnionView::from_simple(union)
+        });
+        let bounds = RootBounds {
+            root,
+            target: e.src,
+            window,
+            t_last: e.ts.saturating_sub(1),
+            root_amount: e.amount,
+            union,
+        };
+        self.metrics.recursive_call(worker);
+        // Seeding the arrival one below the window start admits exactly
+        // first hops with ts >= start (same as the sequential driver).
+        let entries = self.graph.out_edges_in_window(
+            e.dst,
+            bounds.window_after(self.mode, start.saturating_sub(1)),
+        );
+        st.base = 1;
+        st.path.clear();
+        st.path.push(e.dst);
+        st.path_edges.clear();
+        st.on_path.clear();
+        st.on_path.insert(e.src);
+        st.on_path.insert(e.dst);
+        st.frames.clear();
+        st.frames.push(Frame {
+            entries,
+            next: 0,
+            sum: e.amount,
+            last_amount: 0,
+        });
+        st.unclaimed = entries.len();
+        Some(bounds)
+    }
+
+    /// Runs one entry claimed from the deepest frame: the sequential
+    /// search's loop body (same admission, pruning and counters), except
+    /// that a continuable branch pushes a frame instead of recursing.
+    fn expand(&self, b: &RootBounds, st: &mut SearchState<'a>, entry: AdjEntry, worker: usize) {
+        let frame = *st.frames.last().expect("claimed from a frame");
+        self.metrics.edge_visit(worker);
+        if !self.mode.is_temporal() && entry.edge >= b.root {
+            // Temporal admissibility is already timestamp-bounded by
+            // `t_last < t0` (ids refine timestamp order).
+            return;
+        }
+        let Some((sum, amount)) = admit_edge(
+            self.graph,
+            self.predicate,
+            self.push,
+            entry.edge,
+            st.path_edges.len(),
+            b.root_amount,
+            frame.sum,
+            frame.last_amount,
+            self.metrics,
+            worker,
+        ) else {
+            return;
+        };
+        let w = entry.neighbor;
+        if w == b.target {
+            if self.mode.len_ok(st.path_edges.len() + 2) {
+                st.path.push(b.target);
+                st.path_edges.push(entry.edge);
+                st.path_edges.push(b.root);
+                if !self.push.cycle_check
+                    || cycle_accepted(self.graph, self.predicate, &mut st.edge_buf, &st.path_edges)
+                {
+                    self.sink.push(&st.path, &st.path_edges);
+                }
+                st.path_edges.pop();
+                st.path_edges.pop();
+                st.path.pop();
+            }
+            return;
+        }
+        if !self.push.vf_any && !self.predicate.vertex_filter().accepts(w) {
+            self.metrics.vertex_prune(worker);
+            return;
+        }
+        if st.on_path.contains(&w)
+            || !b.union.in_union(w)
+            || !b.union.can_close_after(w, entry.ts)
+            || !self.mode.len_ok(st.path_edges.len() + 3)
+        {
+            return;
+        }
+        self.metrics.recursive_call(worker);
+        let entries = self
+            .graph
+            .out_edges_in_window(w, b.window_after(self.mode, entry.ts));
+        st.path.push(w);
+        st.path_edges.push(entry.edge);
+        st.on_path.insert(w);
+        st.frames.push(Frame {
+            entries,
+            next: 0,
+            sum,
+            last_amount: amount,
+        });
+        st.unclaimed += entries.len();
+    }
+
+    /// Runs a search to completion on the calling worker: claims entries
+    /// from the deepest frame (the sequential depth-first order) and
+    /// backtracks over exhausted frames, while thieves split the shallowest
+    /// frame off through [`FineSearch::split`]. Winds down early, with
+    /// entries unclaimed, once the sink stops the run.
+    fn run_search(&self, search: &FineSearch<'a>, worker: usize) {
+        let b = &search.bounds;
+        let mut guard = search.state.lock();
+        loop {
+            if self.sink.stopped() {
+                break;
+            }
+            if search.thieves.load(Ordering::Relaxed) > 0 {
+                // Let every waiting thief take its turn before the next step.
+                drop(guard);
+                while search.thieves.load(Ordering::Acquire) > 0 {
+                    std::hint::spin_loop();
+                    std::thread::yield_now();
+                }
+                guard = search.state.lock();
+            }
+            let st = &mut *guard;
+            let Some(frame) = st.frames.last_mut() else {
+                break;
+            };
+            if let Some(&entry) = frame.entries.get(frame.next) {
+                frame.next += 1;
+                st.unclaimed -= 1;
+                self.expand(b, st, entry, worker);
+                let stealable = st.unclaimed > 0;
+                if search.stealable.load(Ordering::Relaxed) != stealable {
+                    search.stealable.store(stealable, Ordering::Relaxed);
+                }
+            } else {
+                st.frames.pop();
+                if st.frames.is_empty() {
+                    break;
+                }
+                let v = st.path.pop().expect("a frame above the base owns a vertex");
+                st.path_edges.pop();
+                st.on_path.remove(&v);
+            }
+        }
+    }
+
+    /// Registers `state` as a search under `bounds`, runs it, and hands its
+    /// buffers back for reuse.
+    fn run_registered(
+        &self,
+        bounds: RootBounds,
+        state: SearchState<'a>,
+        worker: usize,
+    ) -> SearchState<'a> {
+        let search = Arc::new(FineSearch {
+            bounds,
+            stealable: AtomicBool::new(state.unclaimed > 0),
+            thieves: AtomicUsize::new(0),
+            state: Mutex::new(state),
+        });
+        let guard = self.sched.register(Arc::clone(&search));
+        self.run_search(&search, worker);
+        drop(guard);
+        search.stealable.store(false, Ordering::Relaxed);
+        let state = std::mem::take(&mut *search.state.lock());
+        state
+    }
 }
 
-/// The shared fine-grained delta driver: workers claim roots from the batch
-/// range via a dynamic counter (like the coarse driver), but every recursion
-/// level of a claimed root's search is spawned as a copyable task on the
-/// pool's work-stealing deques — a batch whose cycles all hang off one hot
-/// root still engages every worker (§5/§7 of the paper, applied to the
-/// max-edge-rooted backward search).
+/// The shared fine-grained delta driver — the paper's copy-on-steal (§5)
+/// applied to the max-edge-rooted backward search. Workers run a
+/// [`StealLoop`] over the batch range, like `par::fine_johnson`: they claim
+/// roots and run each closing root's search on an explicit frame stack,
+/// registered for thieves. The owner claims entries from its deepest frame, so a
+/// lone worker keeps the sequential order and counters and allocates
+/// nothing per call; an idle worker splits the shallowest frame's next
+/// branch off any registered search, copies the path prefix once and runs
+/// the branch as a search of its own, itself open to further steals. The
+/// delta search has no blocked set, so a steal needs no unblock pass. A
+/// batch whose cycles all hang off one hot root thus still engages every
+/// worker, and state is copied once per steal rather than once per branch.
 #[allow(clippy::too_many_arguments)] // the parallel driver signature + predicate
 fn run_delta_fine<G: GraphView + ?Sized, S: CycleSink>(
     graph: &G,
@@ -1395,7 +1539,6 @@ fn run_delta_fine<G: GraphView + ?Sized, S: CycleSink>(
     let metrics = WorkMetrics::new(threads);
     let start = Instant::now();
     let base = roots.start;
-    let counter = DynamicCounter::new(roots.len(), 1);
     let sink = HaltingSink::new(sink);
     let shared = FineDeltaShared {
         graph,
@@ -1404,253 +1547,39 @@ fn run_delta_fine<G: GraphView + ?Sized, S: CycleSink>(
         mode,
         predicate,
         push: Pushdown::of(predicate),
+        sched: StealLoop::new(roots.len()),
     };
 
     pool.scope(|scope| {
         for scratch in scratches[..threads].iter_mut() {
-            let counter = &counter;
             let shared = &shared;
-            scope.spawn(move |scope, ctx| {
-                let worker = ctx.worker_id();
-                while let Some(i) = counter.next() {
-                    if shared.sink.stopped() {
-                        break;
-                    }
-                    let prep = Instant::now();
-                    let task =
-                        prepare_fine_root(shared, base + i as EdgeId, floor, scratch, worker);
-                    shared.metrics.add_busy(worker, prep.elapsed());
-                    if let Some(task) = task {
-                        execute_fine_delta(shared, task, scope, ctx);
-                    }
-                }
-            });
-        }
-    });
-
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::Johnson, Granularity::FineGrained)
-}
-
-/// One frontier level of the work-assisting fine driver: the branch tasks to
-/// expand, the packed claim loop idle workers join, and the bucket the next
-/// level is gathered from. Each task slot is claimed exactly once through the
-/// loop; the mutex-wrapped `Option` only arbitrates ownership transfer, never
-/// contended work.
-struct AssistLevel {
-    tasks: Vec<Mutex<Option<FineDeltaTask>>>,
-    claims: WorkAssistingLoop,
-    next: Mutex<Vec<FineDeltaTask>>,
-}
-
-impl AssistLevel {
-    fn new(frontier: Vec<FineDeltaTask>) -> Self {
-        let claims = WorkAssistingLoop::new(frontier.len(), 1);
-        Self {
-            tasks: frontier.into_iter().map(|t| Mutex::new(Some(t))).collect(),
-            claims,
-            next: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// How the work-assisting driver's participants find the current level: the
-/// coordinator publishes each level under the mutex and bumps `epoch`;
-/// helpers spin on the epoch (yielding, so a 1-core machine still makes
-/// progress) and join whatever is published. `done` releases the helpers when
-/// the last frontier drains — set through a drop guard, so a panicking
-/// coordinator cannot wedge them.
-struct AssistCoordination {
-    epoch: AtomicUsize,
-    done: AtomicBool,
-    current: Mutex<Option<Arc<AssistLevel>>>,
-}
-
-/// Sets the coordination `done` flag on drop (including unwinds).
-struct DoneGuard<'a>(&'a AtomicBool);
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
-/// Joins one level's claim loop and expands every task it wins, collecting
-/// children locally and appending them to the level's output bucket once —
-/// the per-root branch expansion of the assisting scheduler. Records one
-/// `join` per entered loop and one `assist` when the loop was already being
-/// run by another worker (the assisting analogue of a steal).
-fn assist_level<G: GraphView + ?Sized, S: CycleSink>(
-    shared: &FineDeltaShared<'_, G, S>,
-    level: &AssistLevel,
-    worker: usize,
-) {
-    let Some(guard) = level.claims.try_join() else {
-        return;
-    };
-    shared.metrics.join_event(worker);
-    if guard.assisted() {
-        shared.metrics.assist_event(worker);
-    }
-    let mut children = Vec::new();
-    while let Some(i) = guard.next() {
-        if shared.sink.stopped() {
-            // Keep claiming so the loop exhausts and `is_complete` fires —
-            // each drained claim is one compare-exchange, no work.
-            continue;
-        }
-        let Some(mut task) = level.tasks[i].lock().take() else {
-            continue;
-        };
-        let t0 = Instant::now();
-        expand_fine_task(shared, &mut task, worker, |child| children.push(child));
-        shared.metrics.add_busy(worker, t0.elapsed());
-    }
-    if !children.is_empty() {
-        level.next.lock().append(&mut children);
-    }
-}
-
-/// The work-assisting fine-grained delta driver: the same root preparation
-/// and branch expansion as [`run_delta_fine`], scheduled through packed-atomic
-/// [`WorkAssistingLoop`]s instead of boxed tasks on the stealing deques.
-///
-/// The run is level-synchronous: all participants first claim root edges
-/// cooperatively from one assisting loop (each preparing roots into its own
-/// scratch), then the coordinator — the first spawned participant — publishes
-/// the prepared tasks as frontier level 0 and republishes each level's
-/// children as the next, while the remaining participants spin on the epoch
-/// and join every published loop in place. Joining, claiming and completion
-/// detection are all single operations on each loop's packed word, so no
-/// barriers or parked tasks are needed; a worker that arrives mid-level
-/// simply joins it (recorded as an `assist`).
-///
-/// Trade-off vs. the stealing driver: no per-branch `Job` allocation or deque
-/// round-trip, but the frontier is breadth-first, so peak memory is bounded
-/// by the widest recursion level rather than the search depth. Reported
-/// cycles and the deterministic work counters (edge visits, recursive calls,
-/// copies, union members, roots) are identical to the stealing driver's —
-/// only the steal/join/assist scheduling counters differ — which is what the
-/// differential sweeps assert.
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + predicate
-fn run_delta_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    mode: FineDeltaMode<'_>,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
-    let base = roots.start;
-    let sink = HaltingSink::new(sink);
-    let shared = FineDeltaShared {
-        graph,
-        sink: &sink,
-        metrics: &metrics,
-        mode,
-        predicate,
-        push: Pushdown::of(predicate),
-    };
-    let root_claims = WorkAssistingLoop::new(roots.len(), 1);
-    let root_out: Mutex<Vec<FineDeltaTask>> = Mutex::new(Vec::new());
-    let coord = AssistCoordination {
-        epoch: AtomicUsize::new(0),
-        done: AtomicBool::new(false),
-        current: Mutex::new(None),
-    };
-
-    pool.scope(|scope| {
-        for (slot, scratch) in scratches[..threads].iter_mut().enumerate() {
-            let shared = &shared;
-            let root_claims = &root_claims;
-            let root_out = &root_out;
-            let coord = &coord;
             scope.spawn(move |_, ctx| {
                 let worker = ctx.worker_id();
-                // Phase 1: every participant joins the root-claim loop and
-                // prepares roots into its own scratch.
-                if let Some(guard) = root_claims.try_join() {
-                    shared.metrics.join_event(worker);
-                    if guard.assisted() {
-                        shared.metrics.assist_event(worker);
-                    }
-                    let mut prepared = Vec::new();
-                    while let Some(i) = guard.next() {
-                        if shared.sink.stopped() {
-                            continue; // drain claims so the loop exhausts
+                let mut spare = SearchState::lend(scratch);
+                shared.sched.run_worker(
+                    &mut spare,
+                    || shared.sink.stopped(),
+                    |spare, i| {
+                        let t0 = Instant::now();
+                        let root = base + i as EdgeId;
+                        if let Some(bounds) =
+                            shared.prepare_root(root, floor, scratch, spare, worker)
+                        {
+                            *spare = shared.run_registered(bounds, std::mem::take(spare), worker);
                         }
-                        let prep = Instant::now();
-                        let task =
-                            prepare_fine_root(shared, base + i as EdgeId, floor, scratch, worker);
-                        shared.metrics.add_busy(worker, prep.elapsed());
-                        if let Some(task) = task {
-                            prepared.push(task);
-                        }
-                    }
-                    if !prepared.is_empty() {
-                        root_out.lock().append(&mut prepared);
-                    }
-                }
-                if slot == 0 {
-                    // Phase 2, coordinator: wait for the root loop to drain
-                    // (single packed load — exhausted and everyone left),
-                    // then publish one assisting loop per frontier level,
-                    // working each level itself.
-                    let _done = DoneGuard(&coord.done);
-                    while !root_claims.is_complete() {
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
-                    let mut frontier = std::mem::take(&mut *root_out.lock());
-                    while !frontier.is_empty() && !shared.sink.stopped() {
-                        let level = Arc::new(AssistLevel::new(frontier));
-                        *coord.current.lock() = Some(Arc::clone(&level));
-                        coord.epoch.fetch_add(1, Ordering::Release);
-                        assist_level(shared, &level, worker);
-                        while !level.claims.is_complete() {
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                        }
-                        frontier = std::mem::take(&mut *level.next.lock());
-                    }
-                } else {
-                    // Phase 2, helper: assist every published level until the
-                    // coordinator declares the run finished. A joined loop is
-                    // drained to exhaustion before re-checking the epoch, so
-                    // a helper is either working or one load away from it.
-                    let mut seen = 0;
-                    loop {
-                        if coord.done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let epoch = coord.epoch.load(Ordering::Acquire);
-                        if epoch == seen {
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        seen = epoch;
-                        let level = coord.current.lock().clone();
-                        if let Some(level) = level {
-                            assist_level(shared, &level, worker);
-                        }
-                    }
-                }
+                        shared.metrics.add_busy(worker, t0.elapsed());
+                    },
+                    |spare, victim| {
+                        victim.split(mode, spare, &shared.sched, shared.metrics, worker)
+                    },
+                    |spare, bounds| {
+                        let t0 = Instant::now();
+                        shared.metrics.steal_event(worker);
+                        *spare = shared.run_registered(bounds, std::mem::take(spare), worker);
+                        shared.metrics.add_busy(worker, t0.elapsed());
+                    },
+                );
+                spare.give_back(scratch);
             });
         }
     });
@@ -1665,9 +1594,10 @@ fn run_delta_fine_assist<G: GraphView + ?Sized, S: CycleSink>(
     .tagged(Algorithm::Johnson, Granularity::FineGrained)
 }
 
-/// Fine-grained parallel simple-cycle delta enumeration: recursion-level
-/// tasks stolen mid-search (the paper's signature decomposition applied to
-/// the backward, max-edge-rooted search). Allocates fresh per-worker scratch;
+/// Fine-grained parallel simple-cycle delta enumeration: one frame-stack
+/// search per closing root whose branches idle workers steal mid-search
+/// (the paper's copy-on-steal decomposition applied to the backward,
+/// max-edge-rooted search). Allocates fresh per-worker scratch;
 /// high-frequency callers should use [`delta_simple_fine_with_scratch`].
 pub fn delta_simple_fine<G: GraphView + ?Sized, S: CycleSink>(
     graph: &G,
@@ -1766,107 +1696,6 @@ pub fn delta_temporal_fine_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
     )
 }
 
-/// Work-assisting simple-cycle delta enumeration: the same enumeration as
-/// [`delta_simple_fine`] scheduled through [`WorkAssistingLoop`]s (see
-/// `run_delta_fine_assist`). Allocates fresh per-worker scratch;
-/// high-frequency callers should use [`delta_simple_assist_with_scratch`].
-pub fn delta_simple_assist<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_simple_assist_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_simple_assist`] with caller-owned per-worker scratches (at least
-/// `pool.num_threads()` of them, each covering `graph.num_vertices()`).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_simple_assist_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine_assist(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Simple(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
-}
-
-/// Work-assisting temporal-cycle delta enumeration (see
-/// [`delta_simple_assist`]). Allocates fresh per-worker scratch;
-/// high-frequency callers should use [`delta_temporal_assist_with_scratch`].
-pub fn delta_temporal_assist<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_temporal_assist_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_temporal_assist`] with caller-owned per-worker scratches (see
-/// [`delta_simple_assist_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_temporal_assist_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine_assist(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Temporal(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1874,7 +1703,7 @@ mod tests {
     use crate::seq::johnson::johnson_simple;
     use crate::seq::temporal::temporal_simple;
     use pce_graph::generators::{self, RandomTemporalConfig};
-    use pce_graph::{GraphBuilder, TemporalGraph};
+    use pce_graph::{EdgePredicate, GraphBuilder, LabelFilter, TemporalGraph};
 
     fn all_roots(g: &TemporalGraph) -> Range<EdgeId> {
         0..g.num_edges() as EdgeId
@@ -2153,6 +1982,144 @@ mod tests {
             &pool,
         );
         assert_eq!(seq.canonical_cycles(), fine.canonical_cycles());
+
+        // Steal-time state restore: all of a lattice's cycles hang off one
+        // root, so 8 workers split it mid-path, and under these predicates
+        // a thief's pruning is only right if it resumes with the stolen
+        // frame's running total and last amount.
+        let g = attributed_hub_burst(2, 10);
+        let pool = ThreadPool::new(8);
+        let simple_opts = SimpleCycleOptions::unconstrained();
+        let temporal_opts = TemporalCycleOptions::with_window(100);
+        let all = CollectingSink::new();
+        delta_simple(
+            &g,
+            all_roots(&g),
+            Timestamp::MIN,
+            &simple_opts,
+            &CyclePredicate::pass_all(),
+            &all,
+        );
+        let all = all.into_cycles();
+        let mut totals: Vec<Amount> = all
+            .iter()
+            .map(|c| c.edges.iter().map(|&id| g.edge(id).amount).sum())
+            .collect();
+        totals.sort_unstable();
+        let (low, high) = (totals[totals.len() / 4], totals[totals.len() * 3 / 5]);
+        let pin = Position::FromStart(2);
+        let wire = EdgePredicate::pass_all().labels(LabelFilter::allow(vec![0, 1]));
+        let predicates = [
+            CyclePredicate::pass_all(),
+            CyclePredicate::pass_all().monotone_amounts(true),
+            CyclePredicate::pass_all().total_min(low).total_max(high),
+            CyclePredicate::pass_all().at(pin, wire.clone()),
+            CyclePredicate::pass_all()
+                .monotone_amounts(true)
+                .total_min(low)
+                .total_max(high)
+                .at(pin, wire),
+        ];
+        for (i, p) in predicates.iter().enumerate() {
+            let seq = CollectingSink::new();
+            let seq_stats = delta_simple(&g, all_roots(&g), Timestamp::MIN, &simple_opts, p, &seq);
+            let seq_t = CollectingSink::new();
+            let seq_t_stats =
+                delta_temporal(&g, all_roots(&g), Timestamp::MIN, &temporal_opts, p, &seq_t);
+            assert_eq!(seq.canonical_cycles(), seq_t.canonical_cycles(), "case {i}");
+            // Every predicate keeps some cycles and, but for pass-all, cuts
+            // some.
+            assert!(!seq.canonical_cycles().is_empty(), "case {i}");
+            assert_eq!(seq.count() == all.len() as u64, i == 0, "case {i}");
+            for run in 0..3 {
+                let fine = CollectingSink::new();
+                let stats = delta_simple_fine(
+                    &g,
+                    all_roots(&g),
+                    Timestamp::MIN,
+                    &simple_opts,
+                    p,
+                    &fine,
+                    &pool,
+                );
+                assert_eq!(
+                    seq.canonical_cycles(),
+                    fine.canonical_cycles(),
+                    "case {i} run {run}"
+                );
+                assert_same_work(&seq_stats, &stats);
+                let fine = CollectingSink::new();
+                let stats = delta_temporal_fine(
+                    &g,
+                    all_roots(&g),
+                    Timestamp::MIN,
+                    &temporal_opts,
+                    p,
+                    &fine,
+                    &pool,
+                );
+                assert_eq!(
+                    seq.canonical_cycles(),
+                    fine.canonical_cycles(),
+                    "case {i} run {run}"
+                );
+                assert_same_work(&seq_t_stats, &stats);
+            }
+            // A halting sink stops thieves and owners alike, after exactly
+            // its first k cycles — each one a cycle the full run reports.
+            let first = crate::cycle::FirstKSink::new(5);
+            delta_simple_fine(
+                &g,
+                all_roots(&g),
+                Timestamp::MIN,
+                &simple_opts,
+                p,
+                &first,
+                &pool,
+            );
+            let expected = seq.canonical_cycles();
+            let halted = crate::testing::canonicalized(first.into_cycles());
+            assert_eq!(halted.len(), expected.len().min(5), "case {i}");
+            assert!(halted.iter().all(|c| expected.contains(c)), "case {i}");
+        }
+    }
+
+    /// `hub_burst(width, depth)` with seeded amounts and labels: amounts
+    /// climb by layer with a jitter that sometimes breaks strict escalation,
+    /// so monotone and total-amount pruning cut branches at every depth.
+    fn attributed_hub_burst(width: usize, depth: usize) -> TemporalGraph {
+        let mut b = GraphBuilder::new();
+        for (i, e) in generators::hub_burst(width, depth)
+            .edges()
+            .iter()
+            .enumerate()
+        {
+            let jitter = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61;
+            let amount = e.ts as Amount * 6 + jitter;
+            b.push_attr_edge(TemporalEdge::with_attrs(
+                e.src,
+                e.dst,
+                e.ts,
+                amount,
+                (jitter % 3) as u16,
+            ));
+        }
+        b.build()
+    }
+
+    /// The deterministic work counters a fine-grained run must share with
+    /// the sequential one.
+    fn assert_same_work(seq: &RunStats, fine: &RunStats) {
+        let (s, f) = (&seq.work, &fine.work);
+        assert_eq!(s.total_edge_visits(), f.total_edge_visits());
+        assert_eq!(s.total_recursive_calls(), f.total_recursive_calls());
+        assert_eq!(s.total_union_members(), f.total_union_members());
+        assert_eq!(s.total_union_edge_scans(), f.total_union_edge_scans());
+        assert_eq!(s.total_roots(), f.total_roots());
+        assert_eq!(s.total_aggregate_prunes(), f.total_aggregate_prunes());
+        assert_eq!(s.total_positional_prunes(), f.total_positional_prunes());
+        assert_eq!(s.total_vertex_prunes(), f.total_vertex_prunes());
+        assert!(f.total_copies() <= f.total_steals() + f.total_roots());
     }
 
     #[test]
@@ -2213,6 +2180,17 @@ mod tests {
             &pool,
         );
         assert_eq!(with.count(), 2);
+        let floored = CountingSink::new();
+        delta_simple_fine(
+            &g,
+            all_roots(&g),
+            3,
+            &SimpleCycleOptions::unconstrained(),
+            &CyclePredicate::pass_all(),
+            &floored,
+            &pool,
+        );
+        assert_eq!(floored.count(), 0, "both cycle-closing hops are expired");
 
         let g = generators::fig4a_exponential_cycles(12);
         let sink = crate::cycle::FirstKSink::new(3);
@@ -2228,16 +2206,61 @@ mod tests {
         assert_eq!(sink.into_cycles().len(), 3);
     }
 
+    /// A counting sink that hands the core to thieves: until a second thread
+    /// has pushed a cycle, each push naps briefly (within a time budget).
+    /// The pushing owner holds its search across the nap, but it yields the
+    /// core, so an idle worker is scheduled and queues for a split even on a
+    /// loaded test executor; once a thief pushes, the naps stop. A barrier
+    /// cannot force this interleaving: the owner holds its search's lock
+    /// while it pushes, so a thief can split only between pushes.
+    struct SpreadGate {
+        count: AtomicU64,
+        first: Mutex<Option<std::thread::ThreadId>>,
+        spread: AtomicBool,
+        deadline: Instant,
+    }
+
+    impl SpreadGate {
+        fn new() -> Self {
+            Self {
+                count: AtomicU64::new(0),
+                first: Mutex::new(None),
+                spread: AtomicBool::new(false),
+                deadline: Instant::now() + std::time::Duration::from_secs(20),
+            }
+        }
+    }
+
+    impl CycleSink for SpreadGate {
+        fn push(&self, _: &[VertexId], _: &[EdgeId]) -> std::ops::ControlFlow<()> {
+            self.count.fetch_add(1, Ordering::Relaxed);
+            if !self.spread.load(Ordering::Relaxed) {
+                let me = std::thread::current().id();
+                if *self.first.lock().get_or_insert(me) != me {
+                    self.spread.store(true, Ordering::Relaxed);
+                } else if Instant::now() < self.deadline {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+            }
+            std::ops::ControlFlow::Continue(())
+        }
+
+        fn count(&self) -> u64 {
+            self.count.load(Ordering::Relaxed)
+        }
+    }
+
     /// The delta mirror of `fine_johnson::fig4a_work_is_spread_across_workers`:
     /// every cycle of the hub-burst gadget is closed by one root edge, so the
     /// coarse driver pins to a single worker while the fine driver must spread
-    /// the search across workers via task steals.
+    /// the search across workers via steals. The [`SpreadGate`] sink makes a
+    /// thief's arrival independent of how the executor schedules threads.
     #[test]
     fn hub_burst_work_is_spread_across_workers() {
         let g = generators::hub_burst(2, 13);
         let expected = generators::hub_burst_cycle_count(2, 13);
         let opts = SimpleCycleOptions::unconstrained();
-        let sink = CountingSink::new();
+        let sink = SpreadGate::new();
         let stats = delta_simple_fine(
             &g,
             all_roots(&g),
@@ -2260,6 +2283,8 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(stats.work.total_steals() > 0, "steals should have happened");
+        // Copy-on-steal: state is copied once per steal, never per branch.
+        assert_eq!(stats.work.total_copies(), stats.work.total_steals());
         let active_workers = stats
             .work
             .workers
@@ -2286,212 +2311,48 @@ mod tests {
         assert_eq!(sink.count(), expected);
     }
 
-    /// The work-assisting driver is a drop-in replacement for the stealing
-    /// one: identical reported cycles at every thread count, identical
-    /// deterministic work counters (it runs the same expansion body), and
-    /// join events instead of steal events.
+    /// A panicking sink must fail the run, not hang it: the panicking
+    /// worker's search still counts as finished, so the idle workers leave
+    /// and the pool re-raises the panic. A hang fails the test after a
+    /// minute instead of wedging the suite.
     #[test]
-    fn assist_matches_sequential_and_steal_counters() {
-        for (seed, delta) in [(1_401, 20), (1_402, 35)] {
-            let g = generators::uniform_temporal(RandomTemporalConfig {
-                num_vertices: 18,
-                num_edges: 90,
-                time_span: 60,
-                seed,
-            });
-            let simple_opts = SimpleCycleOptions::with_window(delta);
-            let seq = CollectingSink::new();
-            delta_simple(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &simple_opts,
-                &CyclePredicate::pass_all(),
-                &seq,
-            );
-            for threads in [1, 2, 4] {
-                let pool = ThreadPool::new(threads);
-                let steal = CollectingSink::new();
-                let steal_stats = delta_simple_fine(
+    fn fine_sink_panic_propagates() {
+        struct Exploding;
+        impl CycleSink for Exploding {
+            fn push(&self, _: &[VertexId], _: &[EdgeId]) -> std::ops::ControlFlow<()> {
+                panic!("sink exploded");
+            }
+
+            fn count(&self) -> u64 {
+                0
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // One cycle: exactly one worker panics, the others stay idle.
+            let g = GraphBuilder::new()
+                .add_edge(0, 1, 1)
+                .add_edge(1, 2, 2)
+                .add_edge(2, 0, 3)
+                .build();
+            let pool = ThreadPool::new(4);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                delta_simple_fine(
                     &g,
                     all_roots(&g),
                     Timestamp::MIN,
-                    &simple_opts,
+                    &SimpleCycleOptions::unconstrained(),
                     &CyclePredicate::pass_all(),
-                    &steal,
+                    &Exploding,
                     &pool,
-                );
-                let assist = CollectingSink::new();
-                let assist_stats = delta_simple_assist(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &simple_opts,
-                    &CyclePredicate::pass_all(),
-                    &assist,
-                    &pool,
-                );
-                assert_eq!(
-                    seq.canonical_cycles(),
-                    assist.canonical_cycles(),
-                    "seed {seed} threads {threads}"
-                );
-                assert_eq!(steal.canonical_cycles(), assist.canonical_cycles());
-                // Same expansion body => identical deterministic counters.
-                assert_eq!(
-                    steal_stats.work.total_edge_visits(),
-                    assist_stats.work.total_edge_visits()
-                );
-                assert_eq!(
-                    steal_stats.work.total_recursive_calls(),
-                    assist_stats.work.total_recursive_calls()
-                );
-                assert_eq!(
-                    steal_stats.work.total_copies(),
-                    assist_stats.work.total_copies()
-                );
-                assert_eq!(
-                    steal_stats.work.total_union_members(),
-                    assist_stats.work.total_union_members()
-                );
-                assert_eq!(
-                    steal_stats.work.total_union_edge_scans(),
-                    assist_stats.work.total_union_edge_scans()
-                );
-                assert_eq!(
-                    steal_stats.work.total_roots(),
-                    assist_stats.work.total_roots()
-                );
-                // Only the scheduling counters differ in kind.
-                assert_eq!(assist_stats.work.total_steals(), 0);
-                assert!(assist_stats.work.total_joins() > 0);
-                assert_eq!(steal_stats.work.total_joins(), 0);
-            }
-
-            let temporal_opts = TemporalCycleOptions::with_window(delta);
-            let seq = CollectingSink::new();
-            delta_temporal(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &temporal_opts,
-                &CyclePredicate::pass_all(),
-                &seq,
-            );
-            for threads in [1, 4] {
-                let assist = CollectingSink::new();
-                delta_temporal_assist(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &temporal_opts,
-                    &CyclePredicate::pass_all(),
-                    &assist,
-                    &ThreadPool::new(threads),
-                );
-                assert_eq!(
-                    seq.canonical_cycles(),
-                    assist.canonical_cycles(),
-                    "temporal seed {seed} threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn assist_respects_floor_early_stop_and_self_loops() {
-        let g = GraphBuilder::new()
-            .add_edge(0, 0, 1)
-            .add_edge(0, 1, 2)
-            .add_edge(1, 0, 3)
-            .build();
-        let pool = ThreadPool::new(2);
-        let with = CountingSink::new();
-        delta_simple_assist(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().include_self_loops(true),
-            &CyclePredicate::pass_all(),
-            &with,
-            &pool,
-        );
-        assert_eq!(with.count(), 2);
-        let floored = CountingSink::new();
-        delta_simple_assist(
-            &g,
-            all_roots(&g),
-            3,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &floored,
-            &pool,
-        );
-        assert_eq!(floored.count(), 0, "both cycle-closing hops are expired");
-
-        // Early termination: the sink stops the run, and drained claim loops
-        // must still let the scope finish (no wedged coordinator).
-        let g = generators::fig4a_exponential_cycles(12);
-        let sink = crate::cycle::FirstKSink::new(3);
-        delta_simple_assist(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &sink,
-            &pool,
-        );
-        assert_eq!(sink.into_cycles().len(), 3);
-    }
-
-    /// The assisting analogue of `hub_burst_work_is_spread_across_workers`:
-    /// where the stealing driver records steals on the single-root burst, the
-    /// assisting driver must record assists (a second worker joining an
-    /// active claim loop). Requires real parallelism, so it is skipped on a
-    /// 1-core executor; joining hub workers race real work, so a handful of
-    /// attempts are allowed before declaring the scheduler broken.
-    #[test]
-    fn hub_burst_assisting_records_assists() {
-        let g = generators::hub_burst(2, 13);
-        let expected = generators::hub_burst_cycle_count(2, 13);
-        let opts = SimpleCycleOptions::unconstrained();
-        if pce_sched::available_parallelism() < 2 {
-            // Still check correctness single-threaded before skipping.
-            let sink = CountingSink::new();
-            delta_simple_assist(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &opts,
-                &CyclePredicate::pass_all(),
-                &sink,
-                &ThreadPool::new(4),
-            );
-            assert_eq!(sink.count(), expected);
-            eprintln!("skipping assist-spread assertion: single-core executor");
-            return;
-        }
-        let mut last_assists = 0;
-        for attempt in 0..5 {
-            let sink = CountingSink::new();
-            let stats = delta_simple_assist(
-                &g,
-                all_roots(&g),
-                Timestamp::MIN,
-                &opts,
-                &CyclePredicate::pass_all(),
-                &sink,
-                &ThreadPool::new(4),
-            );
-            assert_eq!(sink.count(), expected, "attempt {attempt}");
-            assert_eq!(stats.work.total_steals(), 0);
-            last_assists = stats.work.total_assists();
-            if last_assists > 0 {
-                return;
-            }
-        }
-        panic!("no assists recorded in 5 hub-burst runs (last={last_assists})");
+                )
+            }));
+            let _ = tx.send(result.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run hung after its sink panicked");
+        assert!(panicked);
     }
 
     #[test]
@@ -2555,7 +2416,6 @@ mod tests {
     /// decidable early must record their prune counters.
     #[test]
     fn cycle_predicate_pushdown_matches_post_filter() {
-        use pce_graph::{EdgePredicate, LabelFilter};
         let mut b = GraphBuilder::new();
         for (src, dst, ts, amount, label) in [
             (0, 1, 1, 5, 1),
@@ -2708,21 +2568,38 @@ mod tests {
             &pool,
         );
         assert_eq!(fine.canonical_cycles(), expected);
-        let assist = CollectingSink::new();
-        let assist_stats = delta_temporal_assist(
+        let pool8 = ThreadPool::new(8);
+        let fine8 = CollectingSink::new();
+        let fine8_stats = delta_temporal_fine(
             &g,
             all_roots(&g),
             Timestamp::MIN,
             &opts,
             &predicate,
-            &assist,
-            &pool,
+            &fine8,
+            &pool8,
         );
-        assert_eq!(assist.canonical_cycles(), expected);
+        assert_eq!(fine8.canonical_cycles(), expected);
+        assert_same_work(&seq_stats, &fine_stats);
+        assert_same_work(&seq_stats, &fine8_stats);
+        // A halting sink stops the fine run after exactly its first cycle.
+        let first = crate::cycle::FirstKSink::new(1);
+        delta_temporal_fine(
+            &g,
+            all_roots(&g),
+            Timestamp::MIN,
+            &opts,
+            &predicate,
+            &first,
+            &pool8,
+        );
+        let halted = crate::testing::canonicalized(first.into_cycles());
+        assert_eq!(halted.len(), 1);
+        assert!(expected.contains(&halted[0]));
 
         // The prune counters are data-deterministic: identical across every
-        // granularity and scheduling strategy.
-        for stats in [&coarse_stats, &fine_stats, &assist_stats] {
+        // granularity and thread count.
+        for stats in [&coarse_stats, &fine_stats, &fine8_stats] {
             assert_eq!(
                 stats.work.total_aggregate_prunes(),
                 seq_stats.work.total_aggregate_prunes()

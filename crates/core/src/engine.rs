@@ -77,28 +77,6 @@ pub enum Granularity {
     FineGrained,
 }
 
-/// How idle workers engage a fine-grained parallel pass.
-///
-/// Orthogonal to [`Granularity`]: granularity decides how the search is *cut*
-/// into units, the strategy decides how idle workers *acquire* them. Only the
-/// fine-grained delta passes (and the streaming engine's deferred fan-out)
-/// consult it; sequential and coarse-grained execution ignore it.
-///
-/// This is a runtime scheduling knob, deliberately **not** persisted in
-/// durable checkpoints: reports are byte-identical across strategies, so a
-/// replay under either strategy reconstructs the same state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SchedStrategy {
-    /// Each branch becomes a boxed task on the pool's work-stealing deques;
-    /// idle workers steal (the paper's copy-on-steal discipline).
-    #[default]
-    Stealing,
-    /// Branches are claimed from per-level packed-atomic
-    /// [`WorkAssistingLoop`](pce_sched::WorkAssistingLoop)s; idle workers
-    /// join an active loop in place instead of stealing boxed tasks.
-    Assisting,
-}
-
 /// Which cycle definition a query asks about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum CycleKind {

@@ -80,7 +80,7 @@ pub use cycle::{
 };
 pub use engine::{
     Algorithm, CollectMode, CycleKind, CycleStream, Engine, EnumerationError, EnumerationResult,
-    Granularity, Query, SchedStrategy,
+    Granularity, Query,
 };
 pub use metrics::{LatencyStats, RunStats, ShardStats, WorkMetrics, WorkSnapshot, WorkerWork};
 pub use options::{SimpleCycleOptions, TemporalCycleOptions};

@@ -42,8 +42,8 @@ use crate::util::{fx_map, fx_set, FxHashMap, FxHashSet};
 use crate::{Algorithm, Granularity};
 use parking_lot::Mutex;
 use pce_graph::{EdgeId, TemporalGraph, TimeWindow, VertexId};
-use pce_sched::{DynamicCounter, StealRegistry, ThreadPool};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use pce_sched::{StealLoop, ThreadPool};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -234,8 +234,14 @@ impl SharedSearch {
     }
 
     /// Attempts to split one branch off this search (called by idle workers
-    /// through the steal registry).
-    fn try_steal(&self, metrics: &WorkMetrics, worker: usize) -> Option<StolenBranch> {
+    /// through the steal registry). Counts the thief's search as
+    /// outstanding in `sched` before releasing the victim.
+    fn try_steal(
+        &self,
+        sched: &StealLoop<SharedSearch>,
+        metrics: &WorkMetrics,
+        worker: usize,
+    ) -> Option<StolenBranch> {
         if !self.stealable.load(Ordering::Relaxed) {
             return None;
         }
@@ -262,6 +268,7 @@ impl SharedSearch {
         if core.unclaimed == 0 {
             self.stealable.store(false, Ordering::Relaxed);
         }
+        sched.count_split();
 
         // Copy-on-steal: copy Π, Blk and Blist, roll the path back to the
         // frame the stolen branch belongs to and recursively unblock the
@@ -412,66 +419,50 @@ pub fn fine_johnson_simple<S: CycleSink>(
     let threads = pool.num_threads();
     let metrics = WorkMetrics::new(threads);
     let start = Instant::now();
-    let counter = DynamicCounter::new(graph.num_edges(), 1);
-    let registry: StealRegistry<SharedSearch> = StealRegistry::new();
-    let active = AtomicUsize::new(0);
+    let sched: StealLoop<SharedSearch> = StealLoop::new(graph.num_edges());
     let sink = HaltingSink::new(sink);
 
     pool.scope(|scope| {
         for _ in 0..threads {
-            let counter = &counter;
-            let registry = &registry;
-            let active = &active;
+            let sched = &sched;
             let metrics = &metrics;
             let sink = &sink;
             scope.spawn(move |_, ctx| {
                 let worker = ctx.worker_id();
                 let mut scratch = RootScratch::new(graph.num_vertices());
-                loop {
-                    if sink.stopped() {
-                        break;
-                    }
-                    if let Some(root) = counter.next() {
+                let run = |shared: SharedSearch| {
+                    let shared = Arc::new(shared);
+                    let _guard = sched.register(Arc::clone(&shared));
+                    run_search(graph, opts, sink, metrics, worker, &shared);
+                };
+                sched.run_worker(
+                    &mut scratch,
+                    || sink.stopped(),
+                    |scratch, root| {
                         let root = root as EdgeId;
                         let prep = Instant::now();
                         if handle_self_loop_root(graph, root, opts, sink) {
-                            continue;
+                            return;
                         }
                         let e0 = graph.edge(root);
                         let window = TimeWindow::from_start(e0.ts, opts.effective_delta());
-                        if !scratch.union.compute_simple(graph, root, window) {
-                            metrics.add_busy(worker, prep.elapsed());
-                            continue;
+                        if scratch.union.compute_simple(graph, root, window) {
+                            metrics.root_processed(worker);
+                            let union = Arc::new(UnionView::from_simple(&scratch.union));
+                            run(SharedSearch::new_root(
+                                graph, root, opts, union, metrics, worker,
+                            ));
                         }
-                        metrics.root_processed(worker);
-                        let union = Arc::new(UnionView::from_simple(&scratch.union));
-                        active.fetch_add(1, Ordering::AcqRel);
-                        let shared = Arc::new(SharedSearch::new_root(
-                            graph, root, opts, union, metrics, worker,
-                        ));
-                        let guard = registry.register(Arc::clone(&shared));
-                        run_search(graph, opts, sink, metrics, worker, &shared);
-                        drop(guard);
-                        active.fetch_sub(1, Ordering::AcqRel);
                         metrics.add_busy(worker, prep.elapsed());
-                    } else if let Some(stolen) =
-                        registry.try_steal(|victim| victim.try_steal(metrics, worker))
-                    {
+                    },
+                    |_, victim| victim.try_steal(sched, metrics, worker),
+                    |_, stolen| {
                         let t0 = Instant::now();
                         metrics.steal_event(worker);
-                        active.fetch_add(1, Ordering::AcqRel);
-                        let shared = Arc::new(SharedSearch::from_stolen(stolen));
-                        let guard = registry.register(Arc::clone(&shared));
-                        run_search(graph, opts, sink, metrics, worker, &shared);
-                        drop(guard);
-                        active.fetch_sub(1, Ordering::AcqRel);
+                        run(SharedSearch::from_stolen(stolen));
                         metrics.add_busy(worker, t0.elapsed());
-                    } else if counter.exhausted() && active.load(Ordering::Acquire) == 0 {
-                        break;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
+                    },
+                );
             });
         }
     });
@@ -623,6 +614,36 @@ mod tests {
             fine_johnson_simple(&g, &opts, &sink, &ThreadPool::new(8));
             assert_eq!(reference.canonical_cycles(), sink.canonical_cycles());
         }
+    }
+
+    /// A panicking sink must fail the run, not hang it (see the delta
+    /// driver's `fine_sink_panic_propagates`).
+    #[test]
+    fn sink_panic_propagates() {
+        struct Exploding;
+        impl CycleSink for Exploding {
+            fn push(&self, _: &[VertexId], _: &[EdgeId]) -> std::ops::ControlFlow<()> {
+                panic!("sink exploded");
+            }
+
+            fn count(&self) -> u64 {
+                0
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // One cycle: exactly one worker panics, the others stay idle.
+            let g = generators::directed_cycle(3);
+            let pool = ThreadPool::new(4);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fine_johnson_simple(&g, &SimpleCycleOptions::unconstrained(), &Exploding, &pool)
+            }));
+            let _ = tx.send(result.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run hung after its sink panicked");
+        assert!(panicked);
     }
 
     #[test]

@@ -54,6 +54,11 @@ fn execute_task<'scope, S: CycleSink>(
         return;
     }
     let worker = ctx.worker_id();
+    if ctx.stolen() {
+        // The pool's deques did the actual theft; record it here, where the
+        // migrated task starts executing.
+        shared.metrics.steal_event(worker);
+    }
     let start = Instant::now();
     let e0 = shared.graph.edge(task.root);
     let rt_ctx = RtContext {
@@ -200,7 +205,8 @@ mod tests {
         // occasionally drain the task tree before a sibling steals (the
         // search cannot host a rendezvous without changing the algorithm), so
         // the spread assertion gets a handful of attempts; the cycle count is
-        // asserted on every run.
+        // asserted on every run. A spread run must also have recorded the
+        // steals that moved the root's tasks to the other workers.
         let g = generators::fig4a_exponential_cycles(12);
         let expected = generators::fig4a_cycle_count(12);
         let single_core = pce_sched::available_parallelism() < 2;
@@ -224,6 +230,7 @@ mod tests {
                 .filter(|w| w.recursive_calls > 0)
                 .count();
             if last_active > 1 {
+                assert!(stats.work.total_steals() > 0, "attempt {attempt}");
                 return;
             }
         }

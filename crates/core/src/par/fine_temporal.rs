@@ -109,6 +109,11 @@ fn execute_task<'scope, S: CycleSink>(
         return;
     }
     let worker = ctx.worker_id();
+    if ctx.stolen() {
+        // The pool's deques did the actual theft; record it here, where the
+        // migrated task starts executing.
+        shared.metrics.steal_event(worker);
+    }
     let start = Instant::now();
     shared.metrics.recursive_call(worker);
     let v = *task.path.last().expect("path never empty");
@@ -360,6 +365,44 @@ mod tests {
                 sink.canonical_cycles(),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// Every temporal cycle of this lattice starts with the one earliest edge
+    /// `u → w`, so all of the work hangs off a single root and a second
+    /// worker only gets any by stealing a spawned task.
+    #[test]
+    fn single_hot_root_records_steals() {
+        let (width, depth) = (2, 11);
+        let layer = |l: usize, j: usize| (2 + l * width + j) as VertexId;
+        let mut b = pce_graph::GraphBuilder::new();
+        b.push_edge(0, 1, 1);
+        for j in 0..width {
+            b.push_edge(1, layer(0, j), 2);
+        }
+        for l in 0..depth - 1 {
+            for x in 0..width {
+                for y in 0..width {
+                    b.push_edge(layer(l, x), layer(l + 1, y), l as Timestamp + 3);
+                }
+            }
+        }
+        for j in 0..width {
+            b.push_edge(layer(depth - 1, j), 0, depth as Timestamp + 2);
+        }
+        let g = b.build();
+        let opts = TemporalCycleOptions::with_window(100);
+        let pool = ThreadPool::new(4);
+        for style in [TemporalStyle::Johnson, TemporalStyle::ReadTarjan] {
+            // Whether a thief is scheduled before the owner drains its deque
+            // is up to the OS, so allow a few attempts.
+            let stolen = (0..5).any(|_| {
+                let sink = CountingSink::new();
+                let stats = run_fine_temporal(&g, &opts, &sink, &pool, style);
+                assert_eq!(sink.count(), 1 << depth, "{style:?}");
+                stats.work.total_steals() > 0
+            });
+            assert!(stolen, "{style:?}: no steal recorded on a single hot root");
         }
     }
 

@@ -13,9 +13,9 @@
 //!    in exactly one batch (see [`crate::delta`]). The batch's roots are
 //!    processed at the standing query's [`Granularity`] on the engine's
 //!    reusable thread pool: sequentially, as one dynamically-scheduled task
-//!    per root (coarse), or as copyable recursion-level tasks stolen
-//!    mid-search (fine — the right choice for skewed batches whose cycles
-//!    hang off one hot root).
+//!    per root (coarse), or as rooted searches whose branches idle workers
+//!    steal mid-search (fine — the right choice for skewed batches whose
+//!    cycles hang off one hot root).
 //! 3. **Resolution** — discovered cycles are resolved to concrete
 //!    [`TemporalEdge`] sequences ([`StreamCycle`]) before returning, because
 //!    dense edge ids are re-based when the window compacts.
@@ -80,13 +80,12 @@
 
 use crate::cycle::{CollectingSink, CountingSink, Cycle, CycleSink};
 use crate::delta::{
-    delta_simple_assist_with_scratch, delta_simple_fine_with_scratch,
-    delta_simple_parallel_with_scratch, delta_simple_sharded_with_scratch,
-    delta_simple_with_scratch, delta_temporal_assist_with_scratch,
-    delta_temporal_fine_with_scratch, delta_temporal_parallel_with_scratch,
-    delta_temporal_sharded_with_scratch, delta_temporal_with_scratch,
+    delta_simple_fine_with_scratch, delta_simple_parallel_with_scratch,
+    delta_simple_sharded_with_scratch, delta_simple_with_scratch, delta_temporal_fine_with_scratch,
+    delta_temporal_parallel_with_scratch, delta_temporal_sharded_with_scratch,
+    delta_temporal_with_scratch,
 };
-use crate::engine::{CollectMode, CycleKind, Engine, EnumerationError, Granularity, SchedStrategy};
+use crate::engine::{CollectMode, CycleKind, Engine, EnumerationError, Granularity};
 use crate::metrics::{LatencyStats, RunStats};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
 use crate::seq::RootScratch;
@@ -99,6 +98,7 @@ use pce_graph::{
 };
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Errors produced by the streaming subsystem.
@@ -171,7 +171,6 @@ impl From<EnumerationError> for StreamingError {
 pub struct StreamingQuery {
     kind: CycleKind,
     granularity: Granularity,
-    sched: SchedStrategy,
     window_delta: Timestamp,
     max_len: Option<usize>,
     include_self_loops: bool,
@@ -190,7 +189,6 @@ impl StreamingQuery {
         Self {
             kind: CycleKind::Simple,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::default(),
             window_delta: delta,
             max_len: None,
             include_self_loops: false,
@@ -216,10 +214,10 @@ impl StreamingQuery {
     /// * [`Granularity::CoarseGrained`] (the default) — one dynamically
     ///   scheduled task per closing root: the cheapest dispatch, ideal when a
     ///   batch closes many small, independent searches.
-    /// * [`Granularity::FineGrained`] — every recursion level of a rooted
-    ///   search is a stealable task: pick this when batches are *skewed* (a
-    ///   hub vertex closes most of a batch's cycles through few roots), where
-    ///   the coarse driver collapses to a single worker.
+    /// * [`Granularity::FineGrained`] — idle workers steal branches of a
+    ///   running rooted search (copy-on-steal): pick this when batches are
+    ///   *skewed* (a hub vertex closes most of a batch's cycles through few
+    ///   roots), where the coarse driver collapses to a single worker.
     ///
     /// With a single-threaded engine every granularity runs sequentially; the
     /// per-batch [`RunStats`] record what effectively executed.
@@ -228,26 +226,10 @@ impl StreamingQuery {
         self
     }
 
-    /// Selects how idle workers engage the batch's fine-grained delta pass:
-    /// work-[`Stealing`](SchedStrategy::Stealing) (the default — each branch
-    /// is a boxed task on the pool's deques) or
-    /// work-[`Assisting`](SchedStrategy::Assisting) (branches are claimed
-    /// from per-level packed-atomic loops that idle workers join in place).
-    ///
-    /// Only consulted for [`Granularity::FineGrained`] on a multi-threaded
-    /// engine; other granularities ignore it. Reported cycles are
-    /// byte-identical either way — the strategy is a scheduling knob, which
-    /// is also why it is **not** persisted in durable checkpoints: a replay
-    /// under either strategy reconstructs the same state.
-    pub fn sched(mut self, strategy: SchedStrategy) -> Self {
-        self.sched = strategy;
-        self
-    }
-
     /// Constrains cycles to at most `len` edges (must be >= 1; validated when
     /// the engine is built). This is also the per-batch work cap: every
     /// driver — including the fine-grained one, which checks the bound before
-    /// spawning a task — prunes extensions that can no longer close within
+    /// pushing a frame — prunes extensions that can no longer close within
     /// `len` edges.
     pub fn max_len(mut self, len: usize) -> Self {
         self.max_len = Some(len);
@@ -312,12 +294,6 @@ impl StreamingQuery {
     /// batch may degrade to sequential — see [`StreamingQuery::granularity`]).
     pub fn requested_granularity(&self) -> Granularity {
         self.granularity
-    }
-
-    /// The scheduling strategy fine-grained passes run under (see
-    /// [`StreamingQuery::sched`]).
-    pub fn sched_strategy(&self) -> SchedStrategy {
-        self.sched
     }
 
     /// The enumeration window size δ.
@@ -740,9 +716,8 @@ impl StreamingEngine {
 /// runs reuse `scratches[0]` — unless `sharded` is set, in which case the
 /// per-root sequential searches are spread shard-parallel across the pool
 /// (one task per shard, roots owned by their closing edge's source vertex).
-/// Parallel runs — coarse (one task per root) or fine (stealable
-/// recursion-level tasks) — hand each pool worker its own persistent
-/// scratch. No allocation on the hot path either way.
+/// Parallel runs — coarse (one task per root) or fine (copy-on-steal
+/// rooted searches) — hand each pool worker its own persistent scratch. No allocation on the hot path either way.
 #[allow(clippy::too_many_arguments)] // private dispatcher over engine fields
 fn run_delta<S: crate::cycle::CycleSink>(
     query: &StreamingQuery,
@@ -796,28 +771,16 @@ fn run_delta<S: crate::cycle::CycleSink>(
                     engine.pool(),
                     scratches,
                 ),
-                Granularity::FineGrained => match query.sched {
-                    SchedStrategy::Stealing => delta_simple_fine_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    SchedStrategy::Assisting => delta_simple_assist_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                },
+                Granularity::FineGrained => delta_simple_fine_with_scratch(
+                    graph,
+                    roots,
+                    floor,
+                    &opts,
+                    predicate,
+                    sink,
+                    engine.pool(),
+                    scratches,
+                ),
             }
         }
         CycleKind::Temporal => {
@@ -858,28 +821,16 @@ fn run_delta<S: crate::cycle::CycleSink>(
                     engine.pool(),
                     scratches,
                 ),
-                Granularity::FineGrained => match query.sched {
-                    SchedStrategy::Stealing => delta_temporal_fine_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    SchedStrategy::Assisting => delta_temporal_assist_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                },
+                Granularity::FineGrained => delta_temporal_fine_with_scratch(
+                    graph,
+                    roots,
+                    floor,
+                    &opts,
+                    predicate,
+                    sink,
+                    engine.pool(),
+                    scratches,
+                ),
             }
         }
     }
@@ -990,11 +941,10 @@ impl SharedPass {
     /// The pass as a standing query, for the shared [`run_delta`] dispatcher.
     /// The `shards` field is a placeholder: the multi engine's shard layout
     /// lives on the engine itself, and is handed to [`run_delta`] separately.
-    fn as_query(&self, granularity: Granularity, sched: SchedStrategy) -> StreamingQuery {
+    fn as_query(&self, granularity: Granularity) -> StreamingQuery {
         StreamingQuery {
             kind: self.kind,
             granularity,
-            sched,
             window_delta: self.delta,
             max_len: self.max_len,
             include_self_loops: self.include_self_loops,
@@ -1307,25 +1257,64 @@ impl SubscriptionIndex {
         }
         false
     }
+}
 
-    /// Fresh per-batch group accumulators, parallel to `cohorts[*].groups`.
-    fn make_accums(&self) -> Vec<Vec<GroupAccum>> {
-        self.cohorts
-            .iter()
-            .map(|c| c.groups.iter().map(|_| GroupAccum::new()).collect())
-            .collect()
+/// One batch's indexed fan-out tally: group accumulators parallel to
+/// `cohorts[*].groups`, cohort counters parallel to `cohorts`, and the
+/// candidates pushed. The deferred dispatch fills one for the batch; the
+/// inline sink fills one per pushing thread and merges them.
+struct FanOutTally {
+    accums: Vec<Vec<GroupAccum>>,
+    counters: Vec<CohortCounters>,
+    candidates: AtomicU64,
+}
+
+impl FanOutTally {
+    fn new(index: &SubscriptionIndex) -> Self {
+        Self {
+            accums: index
+                .cohorts
+                .iter()
+                .map(|c| c.groups.iter().map(|_| GroupAccum::new()).collect())
+                .collect(),
+            counters: index
+                .cohorts
+                .iter()
+                .map(|_| CohortCounters::new())
+                .collect(),
+            candidates: AtomicU64::new(0),
+        }
     }
 
-    /// Fresh per-batch cohort counters, parallel to `cohorts`.
-    fn make_counters(&self) -> Vec<CohortCounters> {
-        self.cohorts.iter().map(|_| CohortCounters::new()).collect()
+    /// Adds `other`'s tallies to these (its cycles after these).
+    fn absorb(&mut self, other: FanOutTally) {
+        *self.candidates.get_mut() += other.candidates.into_inner();
+        for (into, from) in self
+            .accums
+            .iter_mut()
+            .flatten()
+            .zip(other.accums.into_iter().flatten())
+        {
+            *into.count.get_mut() += from.count.into_inner();
+            into.cycles.lock().append(&mut from.cycles.into_inner());
+        }
+        for (into, from) in self.counters.iter_mut().zip(other.counters) {
+            *into.offered.get_mut() += from.offered.into_inner();
+            *into.checks.get_mut() += from.checks.into_inner();
+            *into.accepted.get_mut() += from.accepted.into_inner();
+        }
     }
 }
 
 /// Per-batch, per-group accumulator of the indexed fan-out: one atomic count
 /// and (only if some member collects) the accepted cycles, stored **once per
 /// group** no matter how many subscriptions share the profile.
+///
+/// Aligned to its own cache lines, like [`CachePadded`]: workers update
+/// different accumulators (different groups, or different
+/// [`FanOutTally`] shards) concurrently.
 #[derive(Debug)]
+#[repr(align(128))]
 struct GroupAccum {
     count: AtomicU64,
     cycles: Mutex<Vec<Cycle>>,
@@ -1342,7 +1331,10 @@ impl GroupAccum {
 
 /// Per-batch, per-cohort dispatch accounting (threaded into
 /// [`CohortBatchStats`] and the engine's per-cohort [`LatencyStats`]).
+///
+/// Cache-line aligned for the same reason as [`GroupAccum`].
 #[derive(Debug)]
+#[repr(align(128))]
 struct CohortCounters {
     /// Candidates that passed the cohort gate (kind/strictness/self-loops).
     offered: AtomicU64,
@@ -1496,10 +1488,10 @@ fn dispatch_into_cohort(
             .accepted
             .fetch_add(group.members.len() as u64, Ordering::Relaxed);
         if group.collects {
-            accum
-                .cycles
-                .lock()
-                .push(Cycle::new(vertices.to_vec(), edges.to_vec()));
+            // Copy the cycle before taking the lock: the deferred dispatch
+            // tasks of one cohort contend for it.
+            let cycle = Cycle::new(vertices.to_vec(), edges.to_vec());
+            accum.cycles.lock().push(cycle);
         }
     }
     counters.checks.fetch_add(checks, Ordering::Relaxed);
@@ -1595,23 +1587,56 @@ impl CycleSink for FanOutSink<'_> {
 /// [`SubscriptionIndex`] as it is discovered, inside the shared pass itself
 /// (the pass's workers already push concurrently, so dispatch parallelises
 /// with the search). Used below the [`PARALLEL_FAN_OUT_SUBS`] threshold.
+///
+/// The tallies are sharded per pushing thread (like
+/// [`BufferingFanOutSink`]'s buffer) and merged by
+/// [`into_tally`](Self::into_tally) after the pass, so the workers of a
+/// parallel pass — which push every cycle of a burst — do not bounce shared
+/// counters and locks between them. A shard is built on its thread's first
+/// push: a pass that runs on one worker builds one tally, as an unsharded
+/// sink would, and merges nothing.
 struct IndexedFanOutSink<'a> {
     graph: &'a SlidingWindowGraph,
     index: &'a SubscriptionIndex,
-    accums: &'a [Vec<GroupAccum>],
-    counters: &'a [CohortCounters],
-    candidates: AtomicU64,
+    shards: Vec<CachePadded<OnceLock<FanOutTally>>>,
+}
+
+impl<'a> IndexedFanOutSink<'a> {
+    fn new(graph: &'a SlidingWindowGraph, index: &'a SubscriptionIndex, threads: usize) -> Self {
+        Self {
+            graph,
+            index,
+            shards: (0..threads.max(1))
+                .map(|_| CachePadded::new(OnceLock::new()))
+                .collect(),
+        }
+    }
+
+    /// The whole pass's tally: the built shards merged in shard order.
+    fn into_tally(self) -> FanOutTally {
+        let mut built = self
+            .shards
+            .into_iter()
+            .filter_map(|shard| CachePadded::into_inner(shard).into_inner());
+        let mut tally = built.next().unwrap_or_else(|| FanOutTally::new(self.index));
+        for shard in built {
+            tally.absorb(shard);
+        }
+        tally
+    }
 }
 
 impl CycleSink for IndexedFanOutSink<'_> {
     fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> ControlFlow<()> {
-        self.candidates.fetch_add(1, Ordering::Relaxed);
+        let shard = self.shards[thread_shard(self.shards.len())]
+            .get_or_init(|| FanOutTally::new(self.index));
+        shard.candidates.fetch_add(1, Ordering::Relaxed);
         let shape = candidate_shape(self.graph, edges);
         for (ci, cohort) in self.index.cohorts.iter().enumerate() {
             dispatch_into_cohort(
                 cohort,
-                &self.accums[ci],
-                &self.counters[ci],
+                &shard.accums[ci],
+                &shard.counters[ci],
                 &shape,
                 vertices,
                 edges,
@@ -1621,7 +1646,11 @@ impl CycleSink for IndexedFanOutSink<'_> {
     }
 
     fn count(&self) -> u64 {
-        self.candidates.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .filter_map(|shard| shard.get())
+            .map(|shard| shard.candidates.load(Ordering::Relaxed))
+            .sum()
     }
 }
 
@@ -1712,23 +1741,16 @@ impl CycleSink for BufferingFanOutSink<'_> {
 /// dispatch. Tasks of one cohort share that cohort's group accumulators
 /// (atomic counts, mutex-guarded cycle lists), and each task adds its busy
 /// time to its cohort's counters so per-cohort dispatch cost stays visible.
-///
-/// Under [`SchedStrategy::Assisting`] the same task grid is claimed from one
-/// [`pce_sched::WorkAssistingLoop`] instead of a [`pce_sched::DynamicCounter`]
-/// behind scope tasks, and the returned stats carry the loop's join/assist
-/// counts (always zero for the stealing dispatcher).
 fn dispatch_deferred(
     pool: &pce_sched::ThreadPool,
-    sched: SchedStrategy,
     index: &SubscriptionIndex,
     candidates: &[BufferedCandidate],
-    accums: &[Vec<GroupAccum>],
-    counters: &[CohortCounters],
-) -> pce_sched::AssistingForStats {
+    tally: &FanOutTally,
+) {
     let chunks = candidates.len().div_ceil(FAN_OUT_CHUNK);
     let cohorts = index.cohorts.len();
     if chunks == 0 || cohorts == 0 {
-        return pce_sched::AssistingForStats::default();
+        return;
     }
     let body = |_worker: usize, task: usize| {
         let ci = task / chunks;
@@ -1740,24 +1762,18 @@ fn dispatch_deferred(
         for cand in &candidates[start..end] {
             dispatch_into_cohort(
                 cohort,
-                &accums[ci],
-                &counters[ci],
+                &tally.accums[ci],
+                &tally.counters[ci],
                 &cand.shape,
                 &cand.vertices,
                 &cand.edges,
             );
         }
-        counters[ci]
+        tally.counters[ci]
             .busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     };
-    match sched {
-        SchedStrategy::Stealing => {
-            pce_sched::parallel_for_dynamic(pool, chunks * cohorts, 1, body);
-            pce_sched::AssistingForStats::default()
-        }
-        SchedStrategy::Assisting => pce_sched::work_assisting_for(pool, chunks * cohorts, 1, body),
-    }
+    pce_sched::parallel_for_dynamic(pool, chunks * cohorts, 1, body);
 }
 
 /// Per-cohort accounting of one batch's fan-out (indexed strategy only — the
@@ -1804,13 +1820,6 @@ pub struct FanOutReport {
     /// ran inline; inline dispatch is part of
     /// [`MultiBatchReport::enumerate_secs`] either way).
     pub fan_out_secs: f64,
-    /// Workers that joined the deferred dispatch's work-assisting loop
-    /// (nonzero only when the engine runs [`SchedStrategy::Assisting`] and
-    /// the batch dispatched deferred; the stealing dispatcher reports 0).
-    pub joins: u64,
-    /// Joins that engaged an already-active loop — the assisting analogue of
-    /// a steal (subset of [`FanOutReport::joins`]).
-    pub assists: u64,
     /// Per-cohort accounting rows (empty for the naive strategy).
     pub cohorts: Vec<CohortBatchStats>,
 }
@@ -1822,8 +1831,6 @@ impl FanOutReport {
             parallel: false,
             checks: 0,
             fan_out_secs: 0.0,
-            joins: 0,
-            assists: 0,
             cohorts: Vec::new(),
         }
     }
@@ -1945,7 +1952,6 @@ pub struct MultiStreamingEngine {
     graph: SlidingWindowGraph,
     retention: Timestamp,
     granularity: Granularity,
-    sched: SchedStrategy,
     strategy: FanOutStrategy,
     subs: Vec<Subscription>,
     /// The constraint index over `subs`, maintained incrementally by
@@ -1995,7 +2001,6 @@ impl MultiStreamingEngine {
             graph: SlidingWindowGraph::new(retention),
             retention,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::default(),
             strategy: FanOutStrategy::default(),
             subs: Vec::new(),
             index: SubscriptionIndex::new(),
@@ -2058,23 +2063,6 @@ impl MultiStreamingEngine {
     pub fn with_granularity(mut self, granularity: Granularity) -> Self {
         self.granularity = granularity;
         self
-    }
-
-    /// Selects how idle workers engage the shared pass's fine-grained delta
-    /// run *and* the deferred parallel fan-out (the same knob as
-    /// [`StreamingQuery::sched`], but engine-wide): work-stealing boxed tasks
-    /// (the default) or packed-atomic work-assisting loops. Per-query reports
-    /// are byte-identical either way — each strategy is the other's
-    /// differential oracle — and the setting is not part of durable
-    /// checkpoints.
-    pub fn with_sched(mut self, sched: SchedStrategy) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// The active scheduling strategy (see [`with_sched`](Self::with_sched)).
-    pub fn sched_strategy(&self) -> SchedStrategy {
-        self.sched
     }
 
     /// Selects how candidates of the shared pass are routed to subscriptions
@@ -2365,7 +2353,7 @@ impl MultiStreamingEngine {
                 for scratch in &mut self.scratches {
                     scratch.ensure_vertices(self.graph.num_vertices());
                 }
-                let pass_query = pass.as_query(granularity, self.sched);
+                let pass_query = pass.as_query(granularity);
                 match self.strategy {
                     FanOutStrategy::Naive => {
                         let sink = FanOutSink::new(&self.graph, &self.subs);
@@ -2400,94 +2388,78 @@ impl MultiStreamingEngine {
                             parallel: false,
                             checks: sink.checks.load(Ordering::Relaxed),
                             fan_out_secs: 0.0,
-                            joins: 0,
-                            assists: 0,
                             cohorts: Vec::new(),
                         };
                         (per_query, candidates, stats, fan_out)
                     }
                     FanOutStrategy::Indexed => {
-                        let accums = self.index.make_accums();
-                        let counters = self.index.make_counters();
                         // Large portfolios defer dispatch and fan out as
                         // parallel (cohort, chunk) tasks after the pass;
                         // below the threshold, inline dispatch inside the
                         // pass avoids buffering the candidates.
                         let deferred =
                             self.engine.threads() > 1 && self.subs.len() >= self.fan_out_threshold;
-                        let (stats, candidates, fan_out_secs, parallel, dispatch_stats) =
-                            if deferred {
-                                let sink =
-                                    BufferingFanOutSink::new(&self.graph, self.engine.threads());
-                                let stats = run_delta(
-                                    &pass_query,
-                                    &self.engine,
-                                    &self.graph,
-                                    &mut self.scratches,
-                                    &sink,
-                                    delta.roots.clone(),
-                                    Timestamp::MIN,
-                                    granularity,
-                                    sharded,
-                                );
-                                let buffered = sink.into_candidates();
-                                let t_fan = Instant::now();
-                                let dispatch_stats = dispatch_deferred(
-                                    self.engine.pool(),
-                                    self.sched,
-                                    &self.index,
-                                    &buffered,
-                                    &accums,
-                                    &counters,
-                                );
-                                (
-                                    stats,
-                                    buffered.len() as u64,
-                                    t_fan.elapsed().as_secs_f64(),
-                                    !buffered.is_empty(),
-                                    dispatch_stats,
-                                )
-                            } else {
-                                let sink = IndexedFanOutSink {
-                                    graph: &self.graph,
-                                    index: &self.index,
-                                    accums: &accums,
-                                    counters: &counters,
-                                    candidates: AtomicU64::new(0),
-                                };
-                                let stats = run_delta(
-                                    &pass_query,
-                                    &self.engine,
-                                    &self.graph,
-                                    &mut self.scratches,
-                                    &sink,
-                                    delta.roots.clone(),
-                                    Timestamp::MIN,
-                                    granularity,
-                                    sharded,
-                                );
-                                let candidates = sink.candidates.load(Ordering::Relaxed);
-                                (
-                                    stats,
-                                    candidates,
-                                    0.0,
-                                    false,
-                                    pce_sched::AssistingForStats::default(),
-                                )
-                            };
+                        let (stats, tally, fan_out_secs, parallel) = if deferred {
+                            let sink = BufferingFanOutSink::new(&self.graph, self.engine.threads());
+                            let stats = run_delta(
+                                &pass_query,
+                                &self.engine,
+                                &self.graph,
+                                &mut self.scratches,
+                                &sink,
+                                delta.roots.clone(),
+                                Timestamp::MIN,
+                                granularity,
+                                sharded,
+                            );
+                            let buffered = sink.into_candidates();
+                            let t_fan = Instant::now();
+                            let mut tally = FanOutTally::new(&self.index);
+                            *tally.candidates.get_mut() = buffered.len() as u64;
+                            dispatch_deferred(self.engine.pool(), &self.index, &buffered, &tally);
+                            (
+                                stats,
+                                tally,
+                                t_fan.elapsed().as_secs_f64(),
+                                !buffered.is_empty(),
+                            )
+                        } else {
+                            let sink = IndexedFanOutSink::new(
+                                &self.graph,
+                                &self.index,
+                                self.engine.threads(),
+                            );
+                            let stats = run_delta(
+                                &pass_query,
+                                &self.engine,
+                                &self.graph,
+                                &mut self.scratches,
+                                &sink,
+                                delta.roots.clone(),
+                                Timestamp::MIN,
+                                granularity,
+                                sharded,
+                            );
+                            (stats, sink.into_tally(), 0.0, false)
+                        };
+                        let candidates = tally.candidates.load(Ordering::Relaxed);
                         // Distribute group results to members: one resolution
-                        // per group, cloned only into collecting members.
+                        // per group, cloned only into collecting members (the
+                        // last of which takes it without a copy).
                         let mut per_query: Vec<(u64, Vec<StreamCycle>)> =
                             self.subs.iter().map(|_| (0u64, Vec::new())).collect();
                         for (ci, cohort) in self.index.cohorts.iter().enumerate() {
                             for (gi, group) in cohort.groups.iter().enumerate() {
-                                let accum = &accums[ci][gi];
+                                let accum = &tally.accums[ci][gi];
                                 let count = accum.count.load(Ordering::Relaxed);
                                 let resolved: Vec<StreamCycle> =
                                     std::mem::take(&mut *accum.cycles.lock())
                                         .into_iter()
                                         .map(|c| resolve_cycle(&self.graph, c))
                                         .collect();
+                                let mut resolved = Some(resolved);
+                                let mut collectors =
+                                    group.members.iter().filter(|m| m.collect).count();
                                 for member in &group.members {
                                     // Subscription ids are assigned
                                     // monotonically and `subs` keeps
@@ -2499,7 +2471,13 @@ impl MultiStreamingEngine {
                                         .expect("index tracks every subscription");
                                     per_query[slot].0 = count;
                                     if member.collect {
-                                        per_query[slot].1 = resolved.clone();
+                                        collectors -= 1;
+                                        per_query[slot].1 = if collectors == 0 {
+                                            resolved.take()
+                                        } else {
+                                            resolved.clone()
+                                        }
+                                        .expect("taken by the last collector only");
                                     }
                                 }
                             }
@@ -2508,7 +2486,7 @@ impl MultiStreamingEngine {
                             .index
                             .cohorts
                             .iter()
-                            .zip(&counters)
+                            .zip(&tally.counters)
                             .map(|(c, k)| CohortBatchStats {
                                 key: c.key.clone(),
                                 subscriptions: c.subscriptions(),
@@ -2524,8 +2502,6 @@ impl MultiStreamingEngine {
                             parallel,
                             checks: cohorts.iter().map(|c| c.checks).sum(),
                             fan_out_secs,
-                            joins: dispatch_stats.joins,
-                            assists: dispatch_stats.assists,
                             cohorts,
                         };
                         (per_query, candidates, stats, fan_out)

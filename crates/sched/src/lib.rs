@@ -6,7 +6,7 @@
 //! are visible to the algorithm layer — which is what makes the paper's
 //! copy-on-steal mechanism implementable.
 //!
-//! The crate provides three building blocks:
+//! The crate provides four building blocks:
 //!
 //! * [`ThreadPool`] — persistent worker threads with per-worker LIFO deques, a
 //!   global FIFO injector and a [`ThreadPool::scope`] API for submitting tasks
@@ -14,15 +14,13 @@
 //!   spawning worker's local deque (depth-first execution, breadth-first
 //!   stealing — the classic Cilk/TBB discipline).
 //! * [`StealRegistry`] — a registry of *splittable* work sources. The
-//!   fine-grained Johnson algorithm registers every active rooted search here;
-//!   idle workers pick a victim and try to split a branch off it
-//!   (copy-on-steal happens inside the victim's own lock, owned by the
-//!   algorithm layer).
-//! * [`WorkAssistingLoop`] — the work-*assisting* alternative to boxed-task
-//!   stealing for flat data-parallel loops: one packed atomic carries the
-//!   claim index and the joined-worker count, so idle workers join an active
-//!   loop in place instead of stealing jobs off a deque (see the
-//!   [`assist`] module docs).
+//!   fine-grained Johnson algorithm and the fine-grained delta pass register
+//!   every active rooted search here; idle workers pick a victim and try to
+//!   split a branch off it (copy-on-steal happens inside the victim's own
+//!   lock, owned by the algorithm layer).
+//! * [`StealLoop`] — the worker loop of those copy-on-steal drivers: claim a
+//!   root, else split work off a registered search, else leave once no
+//!   search can yield work, with one idle policy for all of them.
 //! * [`WorkerMetrics`] / [`PoolMetrics`] — per-worker busy time, task and
 //!   steal counters, used to regenerate the per-thread execution-time plot of
 //!   Figure 1 and the load-balance statistics of §8.
@@ -34,17 +32,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod assist;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
 pub mod registry;
+pub mod steal_loop;
 
-pub use assist::{work_assisting_for, AssistGuard, AssistingForStats, WorkAssistingLoop};
 pub use metrics::{PoolMetrics, WorkerMetrics};
 pub use parallel::{parallel_for_dynamic, DynamicCounter};
 pub use pool::{Scope, ThreadPool, WorkerCtx};
 pub use registry::{RegistrationGuard, StealRegistry};
+pub use steal_loop::StealLoop;
 
 /// Returns the number of logical CPUs available to this process, falling back
 /// to 1 if it cannot be determined. Used as the default pool size.

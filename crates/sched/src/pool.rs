@@ -38,6 +38,7 @@ impl Shared {
 /// task and lets the task spawn further tasks onto that worker's local deque.
 pub struct WorkerCtx<'a> {
     worker_id: usize,
+    stolen: bool,
     local: &'a Worker<Job>,
     shared: &'a Shared,
 }
@@ -47,6 +48,15 @@ impl<'a> WorkerCtx<'a> {
     #[inline]
     pub fn worker_id(&self) -> usize {
         self.worker_id
+    }
+
+    /// Whether this worker stole the running task from another worker's
+    /// deque — that is, whether a task spawned with [`WorkerCtx::spawn`]
+    /// migrated to run here. Tasks popped from the own deque or taken from
+    /// the scope's injector queue are not stolen.
+    #[inline]
+    pub fn stolen(&self) -> bool {
+        self.stolen
     }
 
     /// Number of workers in the pool.
@@ -298,7 +308,7 @@ fn worker_loop(index: usize, local: Worker<Job>, shared: Arc<Shared>) {
     let backoff_limit = 64u32;
     let mut idle_spins = 0u32;
     loop {
-        let (job, stolen) = match find_job(index, &local, &shared) {
+        let (job, source) = match find_job(index, &local, &shared) {
             Some(pair) => pair,
             None => {
                 if shared.shutdown.load(Ordering::Acquire) {
@@ -322,6 +332,7 @@ fn worker_loop(index: usize, local: Worker<Job>, shared: Arc<Shared>) {
         idle_spins = 0;
         let ctx = WorkerCtx {
             worker_id: index,
+            stolen: source == JobSource::Sibling,
             local: &local,
             shared: &shared,
         };
@@ -330,23 +341,34 @@ fn worker_loop(index: usize, local: Worker<Job>, shared: Arc<Shared>) {
         // recorded afterwards (and may therefore lag a completed scope by a
         // few nanoseconds, which the metrics consumers tolerate).
         let counters = &shared.counters[index];
-        counters.record_task(stolen);
+        counters.record_task(source != JobSource::Local);
         let start = Instant::now();
         job(&ctx);
         counters.add_busy(start.elapsed().as_nanos() as u64);
     }
 }
 
+/// Where [`find_job`] found a job.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum JobSource {
+    /// The worker's own deque.
+    Local,
+    /// The global injector.
+    Injector,
+    /// A sibling worker's deque.
+    Sibling,
+}
+
 /// Finds the next job for worker `index`: local LIFO pop first, then the
-/// global injector, then stealing from a sibling. Returns the job and whether
-/// it was obtained by stealing (i.e. not from the local deque).
-fn find_job(index: usize, local: &Worker<Job>, shared: &Shared) -> Option<(Job, bool)> {
+/// global injector, then stealing from a sibling. Returns the job and where
+/// it came from.
+fn find_job(index: usize, local: &Worker<Job>, shared: &Shared) -> Option<(Job, JobSource)> {
     if let Some(job) = local.pop() {
-        return Some((job, false));
+        return Some((job, JobSource::Local));
     }
     loop {
         match shared.injector.steal_batch_and_pop(local) {
-            crossbeam_deque::Steal::Success(job) => return Some((job, true)),
+            crossbeam_deque::Steal::Success(job) => return Some((job, JobSource::Injector)),
             crossbeam_deque::Steal::Empty => break,
             crossbeam_deque::Steal::Retry => continue,
         }
@@ -356,7 +378,7 @@ fn find_job(index: usize, local: &Worker<Job>, shared: &Shared) -> Option<(Job, 
         let victim = (index + offset) % n;
         loop {
             match shared.stealers[victim].steal() {
-                crossbeam_deque::Steal::Success(job) => return Some((job, true)),
+                crossbeam_deque::Steal::Success(job) => return Some((job, JobSource::Sibling)),
                 crossbeam_deque::Steal::Empty => break,
                 crossbeam_deque::Steal::Retry => continue,
             }
@@ -507,6 +529,33 @@ mod tests {
         assert!(m.total_busy_secs() > 0.0);
         pool.reset_metrics();
         assert_eq!(pool.metrics().total_tasks(), 0);
+    }
+
+    #[test]
+    fn only_tasks_taken_from_a_sibling_are_stolen() {
+        let pool = ThreadPool::new(2);
+        let root_stolen = AtomicBool::new(true);
+        let child_stolen = AtomicBool::new(false);
+        let child_done = AtomicBool::new(false);
+        pool.scope(|scope| {
+            scope.spawn(|scope, ctx| {
+                root_stolen.store(ctx.stolen(), Ordering::SeqCst);
+                ctx.spawn(scope, |_, ctx| {
+                    child_stolen.store(ctx.stolen(), Ordering::SeqCst);
+                    child_done.store(true, Ordering::SeqCst);
+                });
+                // While this worker waits, only the other one can run the
+                // child, and it must steal it from this worker's deque.
+                while !child_done.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            });
+        });
+        assert!(
+            !root_stolen.load(Ordering::SeqCst),
+            "injector tasks are not stolen"
+        );
+        assert!(child_stolen.load(Ordering::SeqCst), "the child migrated");
     }
 
     #[test]

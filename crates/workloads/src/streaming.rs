@@ -16,7 +16,7 @@
 
 use pce_core::{
     CollectMode, FanOutStrategy, Granularity, LatencyStats, MultiStreamingEngine, QueryId,
-    RunStats, SchedStrategy, ShardSpec, StreamingEngine, StreamingError, StreamingQuery,
+    RunStats, ShardSpec, StreamingEngine, StreamingError, StreamingQuery,
 };
 use pce_graph::generators::{self, transaction_rings, TransactionRingConfig};
 use pce_graph::{TemporalEdge, TemporalGraph, Timestamp};
@@ -46,12 +46,8 @@ pub struct StreamScenarioConfig {
     pub collect: CollectMode,
     /// How each batch's delta enumeration is split across workers
     /// (coarse-grained — one task per closing root — by default; fine-grained
-    /// steals recursion levels mid-search and wins on skewed batches).
+    /// steals branches mid-search and wins on skewed batches).
     pub granularity: Granularity,
-    /// How idle workers engage fine-grained batches: stealing boxed tasks
-    /// (the default) or joining packed-atomic work-assisting loops. Ignored
-    /// at other granularities; reports are byte-identical either way.
-    pub sched: SchedStrategy,
 }
 
 impl Default for StreamScenarioConfig {
@@ -73,7 +69,6 @@ impl Default for StreamScenarioConfig {
             temporal: true,
             collect: CollectMode::Count,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::Stealing,
         }
     }
 }
@@ -99,20 +94,12 @@ impl StreamScenarioConfig {
             temporal: true,
             collect: CollectMode::Count,
             granularity: Granularity::CoarseGrained,
-            sched: SchedStrategy::Stealing,
         }
     }
 
     /// The same scenario at a different delta-enumeration granularity.
     pub fn with_granularity(mut self, granularity: Granularity) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// The same scenario under a different scheduling strategy (only
-    /// observable at [`Granularity::FineGrained`]).
-    pub fn with_sched(mut self, sched: SchedStrategy) -> Self {
-        self.sched = sched;
         self
     }
 
@@ -127,9 +114,7 @@ impl StreamScenarioConfig {
             Some(len) => q.max_len(len),
             None => q,
         };
-        q.granularity(self.granularity)
-            .sched(self.sched)
-            .collect(self.collect)
+        q.granularity(self.granularity).collect(self.collect)
     }
 }
 
@@ -301,10 +286,14 @@ impl Default for HubBurstConfig {
 }
 
 impl HubBurstConfig {
-    /// A seconds-scale configuration for CI smoke runs.
+    /// A seconds-scale configuration for CI smoke runs. Its 16 384-cycle
+    /// burst takes about 10 ms at fine granularity on 2 threads of a 2-vCPU
+    /// VM, long enough for an idle worker to be scheduled and steal even on
+    /// a loaded machine (at 4 096 cycles, 3 of 20 loaded runs ended before a
+    /// thief arrived).
     pub fn smoke() -> Self {
         Self {
-            depth: 12,
+            depth: 14,
             ..Self::default()
         }
     }
@@ -325,9 +314,6 @@ pub struct HubBurstReport {
     pub threads: usize,
     /// The granularity the standing query requested.
     pub granularity: Granularity,
-    /// The scheduling strategy the standing query ran under (stealing unless
-    /// the run came through [`run_hub_burst_sched`]).
-    pub sched: SchedStrategy,
     /// Cycles the burst batch reported (must equal
     /// [`HubBurstConfig::expected_cycles`] — asserted by the runner).
     pub cycles: u64,
@@ -352,24 +338,11 @@ impl HubBurstReport {
 
 /// Runs the hub-burst scenario: replays the lattice as lead-in batches, then
 /// ingests the single closing edge and reports how the burst's work was
-/// distributed. Runs under the default work-stealing strategy; see
-/// [`run_hub_burst_sched`] for the strategy axis.
+/// distributed.
 pub fn run_hub_burst(
     cfg: &HubBurstConfig,
     threads: usize,
     granularity: Granularity,
-) -> Result<HubBurstReport, StreamingError> {
-    run_hub_burst_sched(cfg, threads, granularity, SchedStrategy::Stealing)
-}
-
-/// [`run_hub_burst`] under an explicit [`SchedStrategy`]: the burst batch is
-/// the steal-vs-assist showcase — one root, all the work behind it — so this
-/// is what `streaming_bench`'s `sched` section sweeps.
-pub fn run_hub_burst_sched(
-    cfg: &HubBurstConfig,
-    threads: usize,
-    granularity: Granularity,
-    sched: SchedStrategy,
 ) -> Result<HubBurstReport, StreamingError> {
     let graph = generators::hub_burst(cfg.width, cfg.depth);
     let edges = graph.edges();
@@ -382,8 +355,7 @@ pub fn run_hub_burst_sched(
     } else {
         StreamingQuery::simple(delta)
     };
-    let mut engine =
-        StreamingEngine::with_threads(delta, query.granularity(granularity).sched(sched), threads)?;
+    let mut engine = StreamingEngine::with_threads(delta, query.granularity(granularity), threads)?;
     for batch in lead_in.chunks(cfg.batch_edges.max(1)) {
         let quiet = engine.ingest(batch)?;
         debug_assert_eq!(quiet.cycles_found, 0, "the lattice alone closes nothing");
@@ -397,7 +369,6 @@ pub fn run_hub_burst_sched(
     Ok(HubBurstReport {
         threads,
         granularity,
-        sched,
         cycles: report.cycles_found,
         burst_secs: report.enumerate_secs,
         burst_stats: report.stats,
@@ -1125,54 +1096,16 @@ mod tests {
     fn hub_burst_fine_engages_extra_workers_where_coarse_cannot() {
         let cfg = HubBurstConfig::smoke();
         let coarse = run_hub_burst(&cfg, 4, Granularity::CoarseGrained).unwrap();
-        let fine = run_hub_burst(&cfg, 4, Granularity::FineGrained).unwrap();
-        assert_eq!(coarse.cycles, fine.cycles);
-        assert_eq!(fine.cycles, cfg.expected_cycles());
+        assert_eq!(coarse.cycles, cfg.expected_cycles());
         // The burst batch has one root: coarse degrades to a single worker.
         assert_eq!(coarse.busy_workers(), 1, "coarse pins to one worker");
         assert_eq!(coarse.burst_stats.work.total_steals(), 0);
-        // Fine splits the rooted search itself.
+        // Fine splits the rooted search itself, copying state once per steal.
+        let fine = run_hub_burst(&cfg, 4, Granularity::FineGrained).unwrap();
+        assert_eq!(fine.cycles, coarse.cycles);
+        let work = &fine.burst_stats.work;
+        assert!(work.total_copies() <= work.total_steals() + work.total_roots());
         assert!(fine.busy_workers() > 1, "fine must spread the burst");
-        assert!(fine.burst_stats.work.total_steals() > 0);
-    }
-
-    #[test]
-    fn hub_burst_assisting_records_assists_where_stealing_records_steals() {
-        let cfg = HubBurstConfig::smoke();
-        // The count assertion inside the runner holds on every run and every
-        // executor; the scheduling-counter assertions need real parallelism.
-        let assist =
-            run_hub_burst_sched(&cfg, 4, Granularity::FineGrained, SchedStrategy::Assisting)
-                .unwrap();
-        assert_eq!(assist.cycles, cfg.expected_cycles());
-        assert_eq!(assist.sched, SchedStrategy::Assisting);
-        assert_eq!(
-            assist.burst_stats.work.total_steals(),
-            0,
-            "the assisting driver never touches the steal deques"
-        );
-        if pce_core::sched::available_parallelism() < 2 {
-            eprintln!("skipping steal/assist counter assertions: single-core executor");
-            return;
-        }
-        let steal = run_hub_burst(&cfg, 4, Granularity::FineGrained).unwrap();
-        assert_eq!(steal.cycles, assist.cycles);
-        assert!(steal.burst_stats.work.total_steals() > 0);
-        assert!(
-            assist.burst_stats.work.total_joins() > 0,
-            "every participating worker records a join"
-        );
-        // The assist counter is racy in the same way a steal is (it needs a
-        // second worker to engage mid-flight), so give it a few attempts.
-        for attempt in 0..5 {
-            let r =
-                run_hub_burst_sched(&cfg, 4, Granularity::FineGrained, SchedStrategy::Assisting)
-                    .unwrap();
-            assert_eq!(r.cycles, cfg.expected_cycles(), "attempt {attempt}");
-            if r.burst_stats.work.total_assists() > 0 {
-                return;
-            }
-        }
-        panic!("no assists recorded on the hub burst in 5 runs");
+        assert!(work.total_steals() > 0);
     }
 }
