@@ -19,24 +19,34 @@
 //! passes (including the latest-departure closing-time bound for temporal
 //! cycles).
 //!
-//! Three drivers are provided per cycle kind, mirroring the one-shot
+//! # One plan, one search, four drivers
+//!
+//! A pass is described by a [`DeltaPlan`] and executed by [`run`]. The
+//! plan's [`DeltaKind`] is the cycle definition (simple or temporal, with
+//! its window and length bound); its [`DeltaDriver`] says how the batch's
+//! roots spread over threads. Whatever the driver, every closing root runs
+//! the same search: the backward depth-first walk written over an explicit
+//! frame stack, as the paper's fine-grained Johnson (§5) writes it. The
+//! owner claims entries from its deepest frame — the sequential order — and
+//! allocates nothing per call, so one thread does the sequential
+//! algorithm's work and no more. The drivers mirror the one-shot
 //! granularities:
 //!
-//! * **sequential** ([`delta_simple`] / [`delta_temporal`]) — one thread
-//!   sweeps the batch's roots;
-//! * **coarse-grained** ([`delta_simple_parallel`] /
-//!   [`delta_temporal_parallel`]) — one dynamically scheduled task per root
-//!   (§4): work efficient, but a batch whose cycles all hang off one hot root
+//! * [`DeltaDriver::Sequential`] — the calling thread sweeps the roots;
+//! * [`DeltaDriver::Sharded`] — pool workers claim whole shards and each
+//!   sweeps the roots its shard owns (see [`ShardSpec::owner`]);
+//! * [`DeltaDriver::Coarse`] — pool workers claim one root at a time (§4):
+//!   work efficient, but a batch whose cycles all hang off one hot root
 //!   collapses to a single worker;
-//! * **fine-grained** ([`delta_simple_fine`] / [`delta_temporal_fine`]) —
-//!   the paper's copy-on-steal (§5) applied to the backward search: each
-//!   closing root's search runs on an explicit frame stack registered in a
-//!   [`StealLoop`]; the owner claims branches from its deepest frame (the
-//!   sequential order, with no per-call allocation) while idle workers split
+//! * [`DeltaDriver::Fine`] — the paper's copy-on-steal (§5): each closing
+//!   root's search is registered in a [`StealLoop`], and idle workers split
 //!   the shallowest frame's next branch off and copy the path prefix only
 //!   then, so even a single-root burst engages all workers. The per-root
-//!   pruning state is snapshot into a shared `UnionView` once and read-only
-//!   thereafter, and with no blocked set a steal needs no unblock pass.
+//!   pruning state is shared read-only, and with no blocked set a steal
+//!   needs no unblock pass.
+//!
+//! Only the fine driver registers its searches and locks them; the others
+//! drain each search on the worker that prepared it.
 //!
 //! Everything here is generic over [`GraphView`], so the same code serves the
 //! immutable [`TemporalGraph`](pce_graph::TemporalGraph) and the streaming
@@ -62,7 +72,7 @@
 //!
 //! # Predicate pushdown
 //!
-//! Every driver takes a [`CyclePredicate`] whose components are evaluated as
+//! Every plan carries a [`CyclePredicate`] whose components are evaluated as
 //! early as soundness allows:
 //!
 //! * the **per-edge** part (amount interval + label filter) is evaluated
@@ -94,23 +104,23 @@
 //! hull* of its subscriptions' predicates into this shared pass (see
 //! [`crate::streaming`]) and re-checks exact per-subscription predicates at
 //! fan-out. Pass [`CyclePredicate::pass_all`] for unfiltered enumeration —
-//! that case is detected once per root and adds no per-edge work.
+//! that case is detected once per pass and adds no per-edge work.
 //!
-//! # The `floor` parameter
+//! # The `floor`
 //!
-//! Every entry point takes a `floor` timestamp: roots below it are skipped
-//! and edges below it are never admissible. Pass `Timestamp::MIN` for no
-//! floor — what the streaming engine does, since its `delta <= retention`
-//! invariant already guarantees every edge a closing root can need is still
-//! stored (making reports independent of batch boundaries). A caller with
-//! weaker guarantees (say, retention shorter than its query window) can pass
-//! an explicit floor to keep results deterministic with respect to what has
+//! Every plan carries a `floor` timestamp: roots below it are skipped and
+//! edges below it are never admissible. Pass `Timestamp::MIN` for no floor —
+//! what the streaming engine does, since its `delta <= retention` invariant
+//! already guarantees every edge a closing root can need is still stored
+//! (making reports independent of batch boundaries). A caller with weaker
+//! guarantees (say, retention shorter than its query window) can pass an
+//! explicit floor to keep results deterministic with respect to what has
 //! been physically dropped.
 
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, ShardStats, WorkMetrics};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
-use crate::seq::{timed_run, RootScratch};
+use crate::seq::RootScratch;
 use crate::union::{UnionQuery, UnionView};
 use crate::util::FxHashSet;
 use crate::{Algorithm, Granularity};
@@ -126,10 +136,240 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Predicate-derived pushdown flags, computed once per run (or per root) and
-/// copied into the search state — the sequential [`DeltaSearch`] and the
-/// fine-grained [`FineDeltaShared`] cache the same set, so both granularities
-/// take identical per-edge fast paths.
+/// The cycle definition a delta pass enumerates, with its constraints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaKind {
+    /// Simple cycles: every admissible earlier edge inside the root's
+    /// δ-window may continue a path.
+    Simple(SimpleCycleOptions),
+    /// Temporal cycles: timestamps strictly increase along the path and stay
+    /// strictly below the root's.
+    Temporal(TemporalCycleOptions),
+}
+
+impl DeltaKind {
+    #[inline]
+    fn len_ok(&self, len: usize) -> bool {
+        match self {
+            DeltaKind::Simple(o) => o.len_ok(len),
+            DeltaKind::Temporal(o) => o.len_ok(len),
+        }
+    }
+
+    #[inline]
+    fn is_temporal(&self) -> bool {
+        matches!(self, DeltaKind::Temporal(_))
+    }
+}
+
+/// How a delta pass spreads a batch's roots over threads. Every driver runs
+/// the same per-root search, so all of them report the same cycles and the
+/// same deterministic work counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaDriver {
+    /// The calling thread sweeps the roots in ascending id order.
+    Sequential,
+    /// Pool workers claim whole shards; each claimed shard sweeps, in
+    /// ascending id order, the roots whose source vertex it owns
+    /// ([`ShardSpec::owner`]). Ownership partitions the roots, and a cycle
+    /// is reported only by the search rooted at its maximum edge, so a cycle
+    /// whose path crosses shards is still reported once, by the shard owning
+    /// that edge; the searches read sibling shards' adjacency directly, with
+    /// no stitching step. Per-shard attribution is returned in
+    /// [`RunStats::shards`], and the run is tagged
+    /// [`Granularity::Sequential`]: sharding parallelises across shards, not
+    /// inside a root.
+    Sharded(ShardSpec),
+    /// Pool workers claim one root at a time from a dynamic counter (§4 of
+    /// the paper).
+    Coarse,
+    /// Pool workers claim roots and, once the roots are gone, steal branches
+    /// off running searches (copy-on-steal, §5 of the paper).
+    Fine,
+}
+
+impl DeltaDriver {
+    /// The driver a streaming engine runs one batch of `roots` roots on: the
+    /// `requested` granularity on `threads` workers over a window sharded as
+    /// `shards`, degraded to sequential when there is nothing to spread.
+    /// Coarse-grained degrades on single-root batches (one task per root
+    /// cannot occupy a second worker); the fine-grained driver splits
+    /// *within* a root, so a single hot root is exactly where it must stay
+    /// parallel. A sequential request on a sharded multi-threaded engine
+    /// runs shard-parallel; the other granularities already decompose below
+    /// shard level and ignore the shard layout.
+    pub(crate) fn for_batch(
+        requested: Granularity,
+        threads: usize,
+        shards: ShardSpec,
+        roots: usize,
+    ) -> Self {
+        if threads <= 1 || roots == 0 {
+            return DeltaDriver::Sequential;
+        }
+        match requested {
+            Granularity::Sequential if !shards.is_single() => DeltaDriver::Sharded(shards),
+            Granularity::CoarseGrained if roots > 1 => DeltaDriver::Coarse,
+            Granularity::FineGrained => DeltaDriver::Fine,
+            _ => DeltaDriver::Sequential,
+        }
+    }
+
+    /// The number of scratches a run of this driver needs on a pool of
+    /// `threads` workers: one per worker, or one for the sequential sweep.
+    pub(crate) fn scratches(self, threads: usize) -> usize {
+        if self == DeltaDriver::Sequential {
+            1
+        } else {
+            threads
+        }
+    }
+
+    fn granularity(self) -> Granularity {
+        match self {
+            DeltaDriver::Sequential | DeltaDriver::Sharded(_) => Granularity::Sequential,
+            DeltaDriver::Coarse => Granularity::CoarseGrained,
+            DeltaDriver::Fine => Granularity::FineGrained,
+        }
+    }
+}
+
+/// One delta pass: what to enumerate, on which driver, under which floor
+/// and pushed-down predicate. Execute it with [`run`].
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaPlan<'a> {
+    /// The cycle definition and its window / length constraints.
+    pub kind: DeltaKind,
+    /// How the roots spread over threads.
+    pub driver: DeltaDriver,
+    /// Roots below it are skipped and edges below it are never admissible
+    /// (see the [module docs](self#the-floor)).
+    pub floor: Timestamp,
+    /// Pushed into the traversal — union passes, path extension and
+    /// aggregate partial bounds alike (see the [module
+    /// docs](self#predicate-pushdown)). [`CyclePredicate::pass_all`] for
+    /// unfiltered enumeration.
+    pub predicate: &'a CyclePredicate,
+}
+
+/// Runs `plan` over the root range `roots` (typically the id range of the
+/// newest ingest batch), reporting every cycle whose maximum edge is one of
+/// them to `sink`.
+///
+/// `scratches` are caller-owned and reused across runs, so the per-batch
+/// hot path allocates next to nothing (their epoch-stamping makes reuse
+/// free). Each must cover `graph.num_vertices()` (see
+/// [`RootScratch::ensure_vertices`]); the sequential driver uses the first,
+/// the others one per pool worker. `pool` is ignored by
+/// [`DeltaDriver::Sequential`] and required by every other driver.
+///
+/// # Panics
+///
+/// If a pool driver gets no pool, or there are fewer scratches than the
+/// driver needs.
+pub fn run<G: GraphView + ?Sized, S: CycleSink>(
+    plan: &DeltaPlan<'_>,
+    graph: &G,
+    roots: Range<EdgeId>,
+    sink: &S,
+    pool: Option<&ThreadPool>,
+    scratches: &mut [RootScratch],
+) -> RunStats {
+    let start = Instant::now();
+    let pool = (plan.driver != DeltaDriver::Sequential)
+        .then(|| pool.expect("the sharded, coarse and fine drivers run on a pool"));
+    let threads = pool.map_or(1, ThreadPool::num_threads);
+    assert!(
+        scratches.len() >= plan.driver.scratches(threads),
+        "need one scratch per pool worker"
+    );
+    let metrics = WorkMetrics::new(threads);
+    let halting = HaltingSink::new(sink);
+    let pass = Pass {
+        graph,
+        sink: &halting,
+        metrics: &metrics,
+        kind: plan.kind,
+        floor: plan.floor,
+        predicate: plan.predicate,
+        push: Pushdown::of(plan.predicate),
+    };
+    let mut shards = Vec::new();
+    match (plan.driver, pool) {
+        (DeltaDriver::Sharded(spec), Some(pool)) => {
+            shards = pass.sweep_shards(spec, roots, sink, pool, scratches);
+        }
+        (DeltaDriver::Coarse, Some(pool)) => pass.sweep_claimed(roots, pool, scratches),
+        (DeltaDriver::Fine, Some(pool)) => pass.run_fine(roots, pool, scratches),
+        _ => pass.sweep(roots, &mut scratches[0], 0),
+    }
+    RunStats {
+        cycles: sink.count(),
+        wall_secs: start.elapsed().as_secs_f64(),
+        work: metrics.snapshot(),
+        threads,
+        shards,
+        ..RunStats::default()
+    }
+    .tagged(Algorithm::Johnson, plan.driver.granularity())
+}
+
+/// A sequential simple-cycle pass over `roots` on caller-owned scratch:
+/// [`run`] with [`DeltaDriver::Sequential`].
+pub fn delta_simple_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
+    graph: &G,
+    roots: Range<EdgeId>,
+    floor: Timestamp,
+    opts: &SimpleCycleOptions,
+    predicate: &CyclePredicate,
+    sink: &S,
+    scratch: &mut RootScratch,
+) -> RunStats {
+    let plan = DeltaPlan {
+        kind: DeltaKind::Simple(*opts),
+        driver: DeltaDriver::Sequential,
+        floor,
+        predicate,
+    };
+    run(
+        &plan,
+        graph,
+        roots,
+        sink,
+        None,
+        std::slice::from_mut(scratch),
+    )
+}
+
+/// A sequential temporal-cycle pass over `roots` on caller-owned scratch:
+/// [`run`] with [`DeltaDriver::Sequential`].
+pub fn delta_temporal_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
+    graph: &G,
+    roots: Range<EdgeId>,
+    floor: Timestamp,
+    opts: &TemporalCycleOptions,
+    predicate: &CyclePredicate,
+    sink: &S,
+    scratch: &mut RootScratch,
+) -> RunStats {
+    let plan = DeltaPlan {
+        kind: DeltaKind::Temporal(*opts),
+        driver: DeltaDriver::Sequential,
+        floor,
+        predicate,
+    };
+    run(
+        &plan,
+        graph,
+        roots,
+        sink,
+        None,
+        std::slice::from_mut(scratch),
+    )
+}
+
+/// Predicate-derived pushdown flags, computed once per pass so the per-edge
+/// hot path takes its fast paths without re-reading the predicate.
 #[derive(Clone, Copy)]
 struct Pushdown {
     /// `predicate.edge_predicate().is_pass_all()` — skips the attribute
@@ -170,13 +410,13 @@ impl Pushdown {
     }
 }
 
-/// Root-edge admission shared by every per-root driver: the pushed-down
-/// predicate parts decidable from the root edge alone. The root is part of
-/// every cycle it closes, so it must satisfy the per-edge predicate, the
-/// vertex filter on both endpoints, any constraint pinned at `FromEnd(0)`
-/// (the root *is* the last reported edge), and leave room under the
-/// total-amount ceiling. Records the matching prune counter and returns
-/// `false` when the root can close nothing.
+/// Root-edge admission: the pushed-down predicate parts decidable from the
+/// root edge alone. The root is part of every cycle it closes, so it must
+/// satisfy the per-edge predicate, the vertex filter on both endpoints, any
+/// constraint pinned at `FromEnd(0)` (the root *is* the last reported
+/// edge), and leave room under the total-amount ceiling. Records the
+/// matching prune counter and returns `false` when the root can close
+/// nothing.
 fn admit_root(
     e: &TemporalEdge,
     predicate: &CyclePredicate,
@@ -205,18 +445,17 @@ fn admit_root(
     true
 }
 
-/// Per-edge admission shared verbatim by the sequential search and the
-/// fine-grained frame-stack expansion: evaluates the pushed-down predicate parts
-/// decidable from the candidate edge and the fixed path prefix — the
-/// per-edge attribute predicate, the monotone aggregate bounds (running
-/// total vs. ceiling, strict amount escalation below the root's amount), and
-/// the `FromStart(prefix_len)` positional constraint (the prefix is fixed,
-/// so the candidate's index is final). Returns the running total and amount
-/// the extended path would carry, or `None` when the branch is pruned (with
-/// the matching counter recorded). `last_amount` is meaningful iff
-/// `prefix_len > 0`.
+/// Per-edge admission of path extension: evaluates the pushed-down
+/// predicate parts decidable from the candidate edge and the fixed path
+/// prefix — the per-edge attribute predicate, the monotone aggregate bounds
+/// (running total vs. ceiling, strict amount escalation below the root's
+/// amount), and the `FromStart(prefix_len)` positional constraint (the
+/// prefix is fixed, so the candidate's index is final). Returns the running
+/// total and amount the extended path would carry, or `None` when the
+/// branch is pruned (with the matching counter recorded). `last_amount` is
+/// meaningful iff `prefix_len > 0`.
 #[inline]
-#[allow(clippy::too_many_arguments)] // the mirrored per-edge hot path
+#[allow(clippy::too_many_arguments)] // the per-edge hot path
 fn admit_edge<G: GraphView + ?Sized>(
     graph: &G,
     predicate: &CyclePredicate,
@@ -284,821 +523,12 @@ fn record_union(metrics: &WorkMetrics, worker: usize, union: &CycleUnionWorkspac
     metrics.union_edge_scans(worker, union.edge_scans());
 }
 
-/// Shared state of one max-rooted backwards search.
-struct DeltaSearch<'a, G: ?Sized, S> {
-    graph: &'a G,
-    sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    worker: usize,
-    union: &'a CycleUnionWorkspace,
-    /// The root (maximum) edge id; path edges must be strictly below it.
-    root: EdgeId,
-    /// The root's tail `u` — reaching it closes a cycle.
-    target: VertexId,
-    max_len: Option<usize>,
-    /// Whole-cycle predicate pushed into this search.
-    predicate: &'a CyclePredicate,
-    /// Cached pushdown flags (see [`Pushdown`]).
-    push: Pushdown,
-    /// Amount of the root edge — under monotonicity every path edge must
-    /// stay strictly below it.
-    root_amount: Amount,
-    /// Running saturating total of the root and all path edges.
-    sum: Amount,
-    /// Amount of the last path edge (meaningful iff `path_edges` is
-    /// non-empty).
-    last_amount: Amount,
-    // Path state, borrowed from the worker's `RootScratch` so a root costs
-    // no allocation once the buffers have grown.
-    path: &'a mut Vec<VertexId>,
-    path_edges: &'a mut Vec<EdgeId>,
-    on_path: &'a mut FxHashSet<VertexId>,
-    /// Scratch for the close-time whole-cycle re-check.
-    edge_buf: &'a mut Vec<TemporalEdge>,
-}
-
-impl<'a, G: GraphView + ?Sized, S: CycleSink> DeltaSearch<'a, G, S> {
-    /// The search rooted at `e = u → w` (edge id `root`), with its path
-    /// reset to the single vertex `w` in `scratch`'s buffers — the union
-    /// pass must already have run into `scratch.union`.
-    #[allow(clippy::too_many_arguments)] // the per-root driver signature
-    fn new(
-        graph: &'a G,
-        sink: &'a HaltingSink<'a, S>,
-        metrics: &'a WorkMetrics,
-        worker: usize,
-        scratch: &'a mut RootScratch,
-        root: EdgeId,
-        e: &TemporalEdge,
-        max_len: Option<usize>,
-        predicate: &'a CyclePredicate,
-    ) -> Self {
-        let RootScratch {
-            union,
-            path,
-            path_edges,
-            on_path,
-            edge_buf,
-        } = scratch;
-        path.clear();
-        path.push(e.dst);
-        path_edges.clear();
-        on_path.clear();
-        on_path.insert(e.src);
-        on_path.insert(e.dst);
-        Self {
-            graph,
-            sink,
-            metrics,
-            worker,
-            union,
-            root,
-            target: e.src,
-            max_len,
-            predicate,
-            push: Pushdown::of(predicate),
-            root_amount: e.amount,
-            sum: e.amount,
-            last_amount: 0,
-            path,
-            path_edges,
-            on_path,
-            edge_buf,
-        }
-    }
-
-    #[inline]
-    fn len_ok(&self, len: usize) -> bool {
-        self.max_len.map(|m| len <= m).unwrap_or(true)
-    }
-
-    /// Emits the cycle `path ∪ {entry, root}` where `entry` steps onto the
-    /// target — after the exact whole-cycle re-check when the predicate
-    /// carries cycle-level constraints.
-    fn close(&mut self, entry_edge: EdgeId) {
-        self.path.push(self.target);
-        self.path_edges.push(entry_edge);
-        self.path_edges.push(self.root);
-        if !self.push.cycle_check
-            || cycle_accepted(self.graph, self.predicate, self.edge_buf, self.path_edges)
-        {
-            self.sink.push(self.path, self.path_edges);
-        }
-        self.path_edges.pop();
-        self.path_edges.pop();
-        self.path.pop();
-    }
-
-    /// Simple-cycle extension: every admissible earlier edge inside `window`
-    /// may continue the path.
-    fn extend_simple(&mut self, v: VertexId, window: TimeWindow) {
-        self.metrics.recursive_call(self.worker);
-        for &entry in self.graph.out_edges_in_window(v, window) {
-            if self.sink.stopped() {
-                return;
-            }
-            self.metrics.edge_visit(self.worker);
-            if entry.edge >= self.root {
-                continue;
-            }
-            let Some((sum, amount)) = admit_edge(
-                self.graph,
-                self.predicate,
-                self.push,
-                entry.edge,
-                self.path_edges.len(),
-                self.root_amount,
-                self.sum,
-                self.last_amount,
-                self.metrics,
-                self.worker,
-            ) else {
-                continue;
-            };
-            let w = entry.neighbor;
-            if w == self.target {
-                if self.len_ok(self.path_edges.len() + 2) {
-                    self.close(entry.edge);
-                }
-                continue;
-            }
-            if !self.push.vf_any && !self.predicate.vertex_filter().accepts(w) {
-                self.metrics.vertex_prune(self.worker);
-                continue;
-            }
-            if self.on_path.contains(&w)
-                || !self.union.in_union(w)
-                || !self.len_ok(self.path_edges.len() + 3)
-            {
-                continue;
-            }
-            self.path.push(w);
-            self.path_edges.push(entry.edge);
-            self.on_path.insert(w);
-            let (prev_sum, prev_last) = (self.sum, self.last_amount);
-            self.sum = sum;
-            self.last_amount = amount;
-            self.extend_simple(w, window);
-            self.sum = prev_sum;
-            self.last_amount = prev_last;
-            self.on_path.remove(&w);
-            self.path_edges.pop();
-            self.path.pop();
-        }
-    }
-
-    /// Temporal extension: timestamps strictly increase along the path and
-    /// stay strictly below the root's timestamp (`t_last` is `t0 - 1`).
-    fn extend_temporal(&mut self, v: VertexId, arrival: Timestamp, t_last: Timestamp) {
-        self.metrics.recursive_call(self.worker);
-        let window = TimeWindow::new(arrival.saturating_add(1), t_last);
-        for &entry in self.graph.out_edges_in_window(v, window) {
-            if self.sink.stopped() {
-                return;
-            }
-            self.metrics.edge_visit(self.worker);
-            let Some((sum, amount)) = admit_edge(
-                self.graph,
-                self.predicate,
-                self.push,
-                entry.edge,
-                self.path_edges.len(),
-                self.root_amount,
-                self.sum,
-                self.last_amount,
-                self.metrics,
-                self.worker,
-            ) else {
-                continue;
-            };
-            let w = entry.neighbor;
-            if w == self.target {
-                if self.len_ok(self.path_edges.len() + 2) {
-                    self.close(entry.edge);
-                }
-                continue;
-            }
-            if !self.push.vf_any && !self.predicate.vertex_filter().accepts(w) {
-                self.metrics.vertex_prune(self.worker);
-                continue;
-            }
-            if self.on_path.contains(&w)
-                || !self.union.in_union(w)
-                || !self.union.can_close_after(w, entry.ts)
-                || !self.len_ok(self.path_edges.len() + 3)
-            {
-                continue;
-            }
-            self.path.push(w);
-            self.path_edges.push(entry.edge);
-            self.on_path.insert(w);
-            let (prev_sum, prev_last) = (self.sum, self.last_amount);
-            self.sum = sum;
-            self.last_amount = amount;
-            self.extend_temporal(w, entry.ts, t_last);
-            self.sum = prev_sum;
-            self.last_amount = prev_last;
-            self.on_path.remove(&w);
-            self.path_edges.pop();
-            self.path.pop();
-        }
-    }
-}
-
-/// Runs the simple-cycle delta search rooted at `root` (the cycle's maximum
-/// edge). See the [module docs](self) for `floor`.
-#[allow(clippy::too_many_arguments)] // the per-root driver signature + floor
-pub(crate) fn delta_simple_root<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    root: EdgeId,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    scratch: &mut RootScratch,
-    sink: &HaltingSink<'_, S>,
-    metrics: &WorkMetrics,
-    worker: usize,
-) {
-    let e = graph.edge(root);
-    if e.ts < floor {
-        // A batch that straddles the retention span can contain edges that
-        // expired the moment they arrived; they close nothing.
-        return;
-    }
-    let push = Pushdown::of(predicate);
-    if !admit_root(&e, predicate, metrics, worker) {
-        return;
-    }
-    if e.src == e.dst {
-        if opts.include_self_loops
-            && opts.len_ok(1)
-            && (!push.cycle_check || predicate.accepts_cycle_edges(std::slice::from_ref(&e)))
-        {
-            sink.push(&[e.src], &[root]);
-        }
-        return;
-    }
-    metrics.root_processed(worker);
-    // A cycle whose maximum edge has timestamp t0 fits in a δ-window iff all
-    // of its edges have ts >= t0 - δ; clamp at the stream floor.
-    let start = e.ts.saturating_sub(opts.effective_delta()).max(floor);
-    let window = TimeWindow::new(start, e.ts);
-    let reachable = scratch
-        .union
-        .compute_simple_before(graph, root, window, predicate);
-    record_union(metrics, worker, &scratch.union);
-    if !reachable {
-        return;
-    }
-    DeltaSearch::new(
-        graph,
-        sink,
-        metrics,
-        worker,
-        scratch,
-        root,
-        &e,
-        opts.max_len,
-        predicate,
-    )
-    .extend_simple(e.dst, window);
-}
-
-/// Runs the temporal-cycle delta search rooted at `root` (the cycle's last —
-/// and strictly largest — edge). See the [module docs](self) for `floor`.
-#[allow(clippy::too_many_arguments)] // the per-root driver signature + floor
-pub(crate) fn delta_temporal_root<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    root: EdgeId,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    scratch: &mut RootScratch,
-    sink: &HaltingSink<'_, S>,
-    metrics: &WorkMetrics,
-    worker: usize,
-) {
-    let e = graph.edge(root);
-    if e.ts < floor || e.src == e.dst {
-        return;
-    }
-    if !admit_root(&e, predicate, metrics, worker) {
-        return;
-    }
-    metrics.root_processed(worker);
-    // The cycle's first edge anchors its window: first_ts >= t0 - δ.
-    let start = e.ts.saturating_sub(opts.window_delta).max(floor);
-    let window = TimeWindow::new(start, e.ts);
-    let reachable = scratch
-        .union
-        .compute_temporal_before(graph, root, window, predicate);
-    record_union(metrics, worker, &scratch.union);
-    if !reachable {
-        return;
-    }
-    // Seeding the arrival one below the window start admits exactly first
-    // hops with ts >= start; path timestamps stay strictly below t0.
-    DeltaSearch::new(
-        graph,
-        sink,
-        metrics,
-        worker,
-        scratch,
-        root,
-        &e,
-        opts.max_len,
-        predicate,
-    )
-    .extend_temporal(e.dst, start.saturating_sub(1), e.ts.saturating_sub(1));
-}
-
-/// Sequential simple-cycle delta enumeration over the root range `roots`
-/// (typically the id range of the newest ingest batch). Allocates fresh
-/// scratch; high-frequency callers should use
-/// [`delta_simple_with_scratch`] to reuse one scratch across runs.
-///
-/// `predicate` is pushed into the traversal (union passes, path extension
-/// and aggregate partial bounds alike; see the [module docs](self)), so
-/// pruned branches never enter the search state — pass
-/// [`CyclePredicate::pass_all`] for unfiltered enumeration. Every driver
-/// below takes the same parameter with the same meaning.
-pub fn delta_simple<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-) -> RunStats {
-    let mut scratch = RootScratch::new(graph.num_vertices());
-    delta_simple_with_scratch(graph, roots, floor, opts, predicate, sink, &mut scratch)
-}
-
-/// [`delta_simple`] with caller-owned scratch: the streaming engine's
-/// per-batch hot path, paying no per-run allocation (the scratch's
-/// epoch-stamping makes reuse free). The scratch must cover
-/// `graph.num_vertices()` (see [`RootScratch::ensure_vertices`]).
-pub fn delta_simple_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    scratch: &mut RootScratch,
-) -> RunStats {
-    let metrics = WorkMetrics::new(1);
-    let sink = HaltingSink::new(sink);
-    timed_run(&sink, &metrics, 1, || {
-        for root in roots {
-            if sink.stopped() {
-                break;
-            }
-            delta_simple_root(
-                graph, root, floor, opts, predicate, scratch, &sink, &metrics, 0,
-            );
-        }
-    })
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
-}
-
-/// Sequential temporal-cycle delta enumeration over the root range `roots`.
-/// Allocates fresh scratch; high-frequency callers should use
-/// [`delta_temporal_with_scratch`] to reuse one scratch across runs.
-pub fn delta_temporal<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-) -> RunStats {
-    let mut scratch = RootScratch::new(graph.num_vertices());
-    delta_temporal_with_scratch(graph, roots, floor, opts, predicate, sink, &mut scratch)
-}
-
-/// [`delta_temporal`] with caller-owned scratch (see
-/// [`delta_simple_with_scratch`]).
-pub fn delta_temporal_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    scratch: &mut RootScratch,
-) -> RunStats {
-    let metrics = WorkMetrics::new(1);
-    let sink = HaltingSink::new(sink);
-    timed_run(&sink, &metrics, 1, || {
-        for root in roots {
-            if sink.stopped() {
-                break;
-            }
-            delta_temporal_root(
-                graph, root, floor, opts, predicate, scratch, &sink, &metrics, 0,
-            );
-        }
-    })
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
-}
-
-/// The shared parallel delta driver: workers claim roots from the batch
-/// range via a dynamic counter, exactly like the coarse-grained one-shot
-/// driver (one task per root edge, §4 of the paper). One caller-owned
-/// scratch per spawned worker; each scratch must cover
-/// `graph.num_vertices()`.
-fn run_delta_parallel<S, F>(
-    roots: Range<EdgeId>,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-    per_root: F,
-) -> RunStats
-where
-    S: CycleSink,
-    F: Fn(EdgeId, &mut RootScratch, &HaltingSink<'_, S>, &WorkMetrics, usize) + Sync,
-{
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
-    let base = roots.start;
-    let counter = DynamicCounter::new(roots.len(), 1);
-    let sink = HaltingSink::new(sink);
-
-    pool.scope(|scope| {
-        for scratch in scratches[..threads].iter_mut() {
-            let counter = &counter;
-            let metrics = &metrics;
-            let sink = &sink;
-            let per_root = &per_root;
-            scope.spawn(move |_, ctx| {
-                let worker = ctx.worker_id();
-                while let Some(i) = counter.next() {
-                    if sink.stopped() {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    per_root(base + i as EdgeId, scratch, sink, metrics, worker);
-                    metrics.add_busy(worker, t0.elapsed());
-                }
-            });
-        }
-    });
-
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::Johnson, Granularity::CoarseGrained)
-}
-
-/// Allocates one fresh scratch per pool worker (the convenience path; the
-/// streaming engine reuses persistent scratches instead).
-fn fresh_scratches<G: GraphView + ?Sized>(graph: &G, pool: &ThreadPool) -> Vec<RootScratch> {
-    (0..pool.num_threads())
-        .map(|_| RootScratch::new(graph.num_vertices()))
-        .collect()
-}
-
-/// Parallel simple-cycle delta enumeration: one dynamically scheduled task
-/// per root in `roots`. Allocates fresh per-worker scratch; high-frequency
-/// callers should use [`delta_simple_parallel_with_scratch`].
-pub fn delta_simple_parallel<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_simple_parallel_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_simple_parallel`] with caller-owned per-worker scratches (at
-/// least `pool.num_threads()` of them, each covering
-/// `graph.num_vertices()`): no allocation on the per-batch hot path.
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_simple_parallel_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_parallel(
-        roots,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_simple_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
-}
-
-/// Parallel temporal-cycle delta enumeration: one dynamically scheduled task
-/// per root in `roots`. Allocates fresh per-worker scratch; high-frequency
-/// callers should use [`delta_temporal_parallel_with_scratch`].
-pub fn delta_temporal_parallel<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_temporal_parallel_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_temporal_parallel`] with caller-owned per-worker scratches (see
-/// [`delta_simple_parallel_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_temporal_parallel_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_parallel(
-        roots,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_temporal_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
-}
-
-/// A sink adaptor attributing accepted cycles to one shard: forwards every
-/// push to the shared inner sink and bumps the shard's counter. The counter
-/// assumes a non-halting inner sink (the streaming engine's counting and
-/// collecting sinks never return `Break`); under an early-stopping sink the
-/// per-shard attribution may over-count by in-flight pushes, exactly like
-/// the global count across workers.
-struct ShardCountingSink<'a, S> {
-    inner: &'a S,
-    cycles: &'a AtomicU64,
-}
-
-impl<S: CycleSink> CycleSink for ShardCountingSink<'_, S> {
-    fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> std::ops::ControlFlow<()> {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-        self.inner.push(vertices, edges)
-    }
-
-    fn count(&self) -> u64 {
-        self.inner.count()
-    }
-}
-
-/// The sharded delta driver: the root range is partitioned by *shard
-/// ownership of the root's source vertex* ([`ShardSpec::owner`]), workers
-/// claim whole shards from a dynamic counter, and every claimed shard sweeps
-/// the batch's roots sequentially in ascending id order, skipping roots it
-/// does not own. Ownership partitions the roots, so together the shards
-/// process every root exactly once — and because a cycle is reported only by
-/// the search rooted at its maximum `(ts, id)` edge, a cycle whose path
-/// crosses shard boundaries is still reported exactly once, by the shard
-/// owning that closing edge. Cross-shard paths need no messaging: the
-/// backward union/search passes read sibling shards' adjacency directly
-/// (immutable between appends), which is the shared-memory form of the
-/// boundary-frontier exchange.
-///
-/// Per-shard cycle/root attribution is returned in [`RunStats::shards`].
-/// The granularity tag stays `Sequential`: each root still runs the
-/// sequential per-root search — sharding parallelises *across* shards, not
-/// inside a root (the coarse- and fine-grained drivers already decompose
-/// below shard level, so they ignore sharding).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + spec
-fn run_delta_sharded<G, S, F>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    spec: ShardSpec,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-    per_root: F,
-) -> RunStats
-where
-    G: GraphView + ?Sized,
-    S: CycleSink,
-    F: for<'h> Fn(
-            EdgeId,
-            &mut RootScratch,
-            &HaltingSink<'h, ShardCountingSink<'h, S>>,
-            &WorkMetrics,
-            usize,
-        ) + Sync,
-{
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
-    let nshards = spec.shards();
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
-    let counter = DynamicCounter::new(nshards, 1);
-    let shard_cycles: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-    let shard_roots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-    // A sink's Break latches per shard (each shard wraps its own
-    // HaltingSink); this flag propagates the stop to shards other workers
-    // are sweeping.
-    let stop = AtomicBool::new(false);
-
-    pool.scope(|scope| {
-        for scratch in scratches[..threads.min(nshards)].iter_mut() {
-            let counter = &counter;
-            let metrics = &metrics;
-            let per_root = &per_root;
-            let shard_cycles = &shard_cycles;
-            let shard_roots = &shard_roots;
-            let stop = &stop;
-            let roots = roots.clone();
-            scope.spawn(move |_, ctx| {
-                let worker = ctx.worker_id();
-                while let Some(s) = counter.next() {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let shard_sink = ShardCountingSink {
-                        inner: sink,
-                        cycles: &shard_cycles[s],
-                    };
-                    let halting = HaltingSink::new(&shard_sink);
-                    let mut owned = 0u64;
-                    for root in roots.clone() {
-                        if halting.stopped() || stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if spec.owner(graph.edge(root).src) != s {
-                            continue;
-                        }
-                        owned += 1;
-                        per_root(root, scratch, &halting, metrics, worker);
-                    }
-                    shard_roots[s].store(owned, Ordering::Relaxed);
-                    if halting.stopped() {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    metrics.add_busy(worker, t0.elapsed());
-                }
-            });
-        }
-    });
-
-    let shards = shard_roots
-        .iter()
-        .zip(shard_cycles.iter())
-        .enumerate()
-        .map(|(shard, (r, c))| ShardStats {
-            shard,
-            roots: r.load(Ordering::Relaxed),
-            cycles: c.load(Ordering::Relaxed),
-        })
-        .collect();
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        shards,
-        ..RunStats::default()
-    }
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
-}
-
-/// Sharded simple-cycle delta enumeration with caller-owned per-worker
-/// scratches: one parallel task per shard, roots partitioned by
-/// [`ShardSpec::owner`] of the root's source vertex. Results are identical
-/// to every other driver; see the [module docs](self).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + spec
-pub fn delta_simple_sharded_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    spec: ShardSpec,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_sharded(
-        graph,
-        roots,
-        spec,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_simple_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
-}
-
-/// Sharded temporal-cycle delta enumeration (see
-/// [`delta_simple_sharded_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + spec
-pub fn delta_temporal_sharded_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    spec: ShardSpec,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_sharded(
-        graph,
-        roots,
-        spec,
-        sink,
-        pool,
-        scratches,
-        |root, scratch, sink, metrics, worker| {
-            delta_temporal_root(
-                graph, root, floor, opts, predicate, scratch, sink, metrics, worker,
-            )
-        },
-    )
-}
-
-/// The constraint set of one fine-grained delta run: which cycle definition
-/// the frame-stack searches enforce while extending a path.
-#[derive(Clone, Copy)]
-enum FineDeltaMode<'a> {
-    Simple(&'a SimpleCycleOptions),
-    Temporal(&'a TemporalCycleOptions),
-}
-
-impl FineDeltaMode<'_> {
-    #[inline]
-    fn len_ok(&self, len: usize) -> bool {
-        match self {
-            FineDeltaMode::Simple(o) => o.len_ok(len),
-            FineDeltaMode::Temporal(o) => o.len_ok(len),
-        }
-    }
-
-    #[inline]
-    fn is_temporal(&self) -> bool {
-        matches!(self, FineDeltaMode::Temporal(_))
-    }
-}
-
 /// The per-root constants of one delta search, shared by its owner and by
-/// every search stolen from it. The pruning state is the root's union pass
-/// snapshot into a read-only [`UnionView`], so a thief shares it instead of
-/// copying it.
-#[derive(Clone)]
+/// every search stolen from it. The root's pruning state travels beside
+/// them as a [`UnionQuery`]: the worker's own workspace while the search is
+/// drained where it was prepared, or a read-only [`UnionView`] snapshot
+/// that thieves share instead of copying.
+#[derive(Clone, Copy)]
 struct RootBounds {
     /// The root (maximum) edge; simple-mode path edges must stay below it.
     root: EdgeId,
@@ -1111,15 +541,14 @@ struct RootBounds {
     /// Amount of the root edge — under monotonicity every path edge must
     /// stay strictly below it.
     root_amount: Amount,
-    union: Arc<UnionView>,
 }
 
 impl RootBounds {
     /// The window of the out-edges that may leave a tip reached at
     /// `arrival` (temporal: strictly later, and before the root).
     #[inline]
-    fn window_after(&self, mode: FineDeltaMode<'_>, arrival: Timestamp) -> TimeWindow {
-        if mode.is_temporal() {
+    fn window_after(&self, kind: DeltaKind, arrival: Timestamp) -> TimeWindow {
+        if kind.is_temporal() {
             TimeWindow::new(arrival.saturating_add(1), self.t_last)
         } else {
             self.window
@@ -1130,25 +559,31 @@ impl RootBounds {
     /// the path rather than close or die? Decided from the root's constants
     /// alone (no counters, no path state), so a thief can ask it under the
     /// victim's lock; a `true` may still be pruned when the entry is run.
-    fn may_extend(&self, mode: FineDeltaMode<'_>, entry: &AdjEntry, prefix_edges: usize) -> bool {
-        (mode.is_temporal() || entry.edge < self.root)
+    fn may_extend(
+        &self,
+        kind: DeltaKind,
+        union: &UnionView,
+        entry: &AdjEntry,
+        prefix_edges: usize,
+    ) -> bool {
+        (kind.is_temporal() || entry.edge < self.root)
             && entry.neighbor != self.target
-            && self.union.in_union(entry.neighbor)
-            && self.union.can_close_after(entry.neighbor, entry.ts)
-            && mode.len_ok(prefix_edges + 3)
+            && union.in_union(entry.neighbor)
+            && (!kind.is_temporal() || union.can_close_after(entry.neighbor, entry.ts))
+            && kind.len_ok(prefix_edges + 3)
     }
 }
 
-/// One recursion level of a frame-stack delta search: the tip's admissible
-/// out-edges and the aggregate state of the path reaching the tip. The
-/// entries are a sub-slice of the graph's adjacency (for temporal searches
-/// already cut to timestamps after the arrival at the tip), so pushing a
-/// frame allocates nothing and a stolen frame carries its arrival bound.
+/// One recursion level of a frame-stack delta search: the tip's unclaimed
+/// admissible out-edges and the aggregate state of the path reaching the
+/// tip. The entries are a sub-slice of the graph's adjacency (for temporal
+/// searches already cut to timestamps after the arrival at the tip), so
+/// pushing a frame allocates nothing and a stolen frame carries its arrival
+/// bound.
 #[derive(Clone, Copy)]
 struct Frame<'g> {
+    /// The tip's entries not yet claimed, in adjacency order.
     entries: &'g [AdjEntry],
-    /// Index of the next unclaimed entry.
-    next: usize,
     /// Running saturating total of the root and the path edges to the tip.
     sum: Amount,
     /// Amount of the last path edge (meaningful iff the path has an edge).
@@ -1193,9 +628,10 @@ impl SearchState<'_> {
     }
 }
 
-/// A registered, stealable search.
+/// A search registered for thieves by the fine driver.
 struct FineSearch<'g> {
     bounds: RootBounds,
+    union: Arc<UnionView>,
     /// Held by the owner across its steps, so a step costs no lock round
     /// trip; handed over whenever `thieves` is non-zero.
     state: Mutex<SearchState<'g>>,
@@ -1216,12 +652,12 @@ impl<'g> FineSearch<'g> {
     /// outstanding in `sched` before releasing the victim.
     fn split(
         &self,
-        mode: FineDeltaMode<'_>,
+        kind: DeltaKind,
         into: &mut SearchState<'g>,
         sched: &StealLoop<FineSearch<'g>>,
         metrics: &WorkMetrics,
         worker: usize,
-    ) -> Option<RootBounds> {
+    ) -> Option<(RootBounds, Arc<UnionView>)> {
         if !self.stealable.load(Ordering::Relaxed) {
             return None;
         }
@@ -1229,23 +665,22 @@ impl<'g> FineSearch<'g> {
         let mut guard = self.state.lock();
         self.thieves.fetch_sub(1, Ordering::AcqRel);
         let st = &mut *guard;
-        let Some(depth) = st.frames.iter().position(|f| f.next < f.entries.len()) else {
+        let Some(depth) = st.frames.iter().position(|f| !f.entries.is_empty()) else {
             self.stealable.store(false, Ordering::Relaxed);
             return None;
         };
         let prefix = st.base + depth;
         let frame = &mut st.frames[depth];
-        let rest = &frame.entries[frame.next..];
+        let rest = frame.entries;
         let take = rest
             .iter()
-            .position(|e| self.bounds.may_extend(mode, e, prefix - 1))
+            .position(|e| self.bounds.may_extend(kind, &self.union, e, prefix - 1))
             .map_or(rest.len(), |k| k + 1);
         let stolen = Frame {
             entries: &rest[..take],
-            next: 0,
             ..*frame
         };
-        frame.next += take;
+        frame.entries = &rest[take..];
         st.unclaimed -= take;
         if st.unclaimed == 0 {
             self.stealable.store(false, Ordering::Relaxed);
@@ -1265,39 +700,64 @@ impl<'g> FineSearch<'g> {
         into.frames.clear();
         into.frames.push(stolen);
         into.unclaimed = take;
-        Some(self.bounds.clone())
+        Some((self.bounds, Arc::clone(&self.union)))
     }
 }
 
-/// State shared by every worker of one fine-grained delta run.
-struct FineDeltaShared<'a, G: ?Sized, S> {
+/// A sink adaptor attributing accepted cycles to one shard: forwards every
+/// push to the shared inner sink and bumps the shard's counter. The counter
+/// assumes a non-halting inner sink (the streaming engine's counting and
+/// collecting sinks never return `Break`); under an early-stopping sink the
+/// per-shard attribution may over-count by in-flight pushes, exactly like
+/// the global count across workers.
+struct ShardCountingSink<'a, S> {
+    inner: &'a S,
+    cycles: &'a AtomicU64,
+}
+
+impl<S: CycleSink> CycleSink for ShardCountingSink<'_, S> {
+    fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> std::ops::ControlFlow<()> {
+        self.cycles.fetch_add(1, Ordering::Relaxed);
+        self.inner.push(vertices, edges)
+    }
+
+    fn count(&self) -> u64 {
+        self.inner.count()
+    }
+}
+
+/// The constants of one delta pass, shared by every worker and search of
+/// its run.
+struct Pass<'a, G: ?Sized, S> {
     graph: &'a G,
     sink: &'a HaltingSink<'a, S>,
     metrics: &'a WorkMetrics,
-    mode: FineDeltaMode<'a>,
-    /// Whole-cycle predicate pushed into every search of the run.
+    kind: DeltaKind,
+    floor: Timestamp,
+    /// Whole-cycle predicate pushed into every search of the pass.
     predicate: &'a CyclePredicate,
     /// Cached pushdown flags (see [`Pushdown`]).
     push: Pushdown,
-    /// The batch's roots and every running search, open to thieves.
-    sched: StealLoop<FineSearch<'a>>,
 }
 
-impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
+impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
     /// Per-root preamble: floor / self-loop handling, the mirrored union pass
-    /// into the worker's scratch and its snapshot, and the root frame pushed
-    /// into the worker's recycled buffers `st`. Returns `None` when the root
-    /// closes nothing.
+    /// into the worker's scratch (where the search reads it), and the root
+    /// frame pushed into the worker's recycled buffers `st`. Returns `None`
+    /// when the root closes nothing.
     fn prepare_root(
         &self,
         root: EdgeId,
-        floor: Timestamp,
         scratch: &mut RootScratch,
         st: &mut SearchState<'a>,
         worker: usize,
     ) -> Option<RootBounds> {
         let e = self.graph.edge(root);
-        if e.ts < floor {
+        // A batch that straddles the retention span can contain edges that
+        // expired the moment they arrived; they close nothing, and neither
+        // does a self-loop under the temporal definition (checked before
+        // admission, so it records no prune).
+        if e.ts < self.floor || (e.src == e.dst && self.kind.is_temporal()) {
             return None;
         }
         // The root edge is part of every cycle it closes.
@@ -1305,7 +765,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
             return None;
         }
         if e.src == e.dst {
-            if let FineDeltaMode::Simple(opts) = self.mode {
+            if let DeltaKind::Simple(opts) = self.kind {
                 if opts.include_self_loops
                     && opts.len_ok(1)
                     && (!self.push.cycle_check
@@ -1317,14 +777,17 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
             return None;
         }
         self.metrics.root_processed(worker);
-        let delta = match self.mode {
-            FineDeltaMode::Simple(opts) => opts.effective_delta(),
-            FineDeltaMode::Temporal(opts) => opts.window_delta,
+        // A cycle whose maximum edge has timestamp t0 fits in a δ-window iff
+        // all of its edges have ts >= t0 - δ (for a temporal cycle, its first
+        // edge anchors the window); clamp at the floor.
+        let delta = match self.kind {
+            DeltaKind::Simple(opts) => opts.effective_delta(),
+            DeltaKind::Temporal(opts) => opts.window_delta,
         };
-        let start = e.ts.saturating_sub(delta).max(floor);
+        let start = e.ts.saturating_sub(delta).max(self.floor);
         let window = TimeWindow::new(start, e.ts);
         let union = &mut scratch.union;
-        let reachable = if self.mode.is_temporal() {
+        let reachable = if self.kind.is_temporal() {
             union.compute_temporal_before(self.graph, root, window, self.predicate)
         } else {
             union.compute_simple_before(self.graph, root, window, self.predicate)
@@ -1333,25 +796,19 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
         if !reachable {
             return None;
         }
-        let union = Arc::new(if self.mode.is_temporal() {
-            UnionView::from_temporal(union)
-        } else {
-            UnionView::from_simple(union)
-        });
         let bounds = RootBounds {
             root,
             target: e.src,
             window,
             t_last: e.ts.saturating_sub(1),
             root_amount: e.amount,
-            union,
         };
         self.metrics.recursive_call(worker);
         // Seeding the arrival one below the window start admits exactly
-        // first hops with ts >= start (same as the sequential driver).
+        // temporal first hops with ts >= start.
         let entries = self.graph.out_edges_in_window(
             e.dst,
-            bounds.window_after(self.mode, start.saturating_sub(1)),
+            bounds.window_after(self.kind, start.saturating_sub(1)),
         );
         st.base = 1;
         st.path.clear();
@@ -1363,7 +820,6 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
         st.frames.clear();
         st.frames.push(Frame {
             entries,
-            next: 0,
             sum: e.amount,
             last_amount: 0,
         });
@@ -1371,13 +827,21 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
         Some(bounds)
     }
 
-    /// Runs one entry claimed from the deepest frame: the sequential
-    /// search's loop body (same admission, pruning and counters), except
-    /// that a continuable branch pushes a frame instead of recursing.
-    fn expand(&self, b: &RootBounds, st: &mut SearchState<'a>, entry: AdjEntry, worker: usize) {
-        let frame = *st.frames.last().expect("claimed from a frame");
+    /// Runs one entry claimed from the deepest frame: admission, pruning
+    /// and counters of one depth-first call, except that a continuable
+    /// branch pushes a frame instead of recursing.
+    #[inline(always)]
+    fn expand<U: UnionQuery + ?Sized>(
+        &self,
+        b: &RootBounds,
+        union: &U,
+        st: &mut SearchState<'a>,
+        entry: AdjEntry,
+        (sum, last_amount): (Amount, Amount),
+        worker: usize,
+    ) {
         self.metrics.edge_visit(worker);
-        if !self.mode.is_temporal() && entry.edge >= b.root {
+        if !self.kind.is_temporal() && entry.edge >= b.root {
             // Temporal admissibility is already timestamp-bounded by
             // `t_last < t0` (ids refine timestamp order).
             return;
@@ -1389,8 +853,8 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
             entry.edge,
             st.path_edges.len(),
             b.root_amount,
-            frame.sum,
-            frame.last_amount,
+            sum,
+            last_amount,
             self.metrics,
             worker,
         ) else {
@@ -1398,7 +862,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
         };
         let w = entry.neighbor;
         if w == b.target {
-            if self.mode.len_ok(st.path_edges.len() + 2) {
+            if self.kind.len_ok(st.path_edges.len() + 2) {
                 st.path.push(b.target);
                 st.path_edges.push(entry.edge);
                 st.path_edges.push(b.root);
@@ -1418,40 +882,201 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
             return;
         }
         if st.on_path.contains(&w)
-            || !b.union.in_union(w)
-            || !b.union.can_close_after(w, entry.ts)
-            || !self.mode.len_ok(st.path_edges.len() + 3)
+            || !union.in_union(w)
+            || (self.kind.is_temporal() && !union.can_close_after(w, entry.ts))
+            || !self.kind.len_ok(st.path_edges.len() + 3)
         {
             return;
         }
         self.metrics.recursive_call(worker);
         let entries = self
             .graph
-            .out_edges_in_window(w, b.window_after(self.mode, entry.ts));
+            .out_edges_in_window(w, b.window_after(self.kind, entry.ts));
         st.path.push(w);
         st.path_edges.push(entry.edge);
         st.on_path.insert(w);
         st.frames.push(Frame {
             entries,
-            next: 0,
             sum,
             last_amount: amount,
         });
         st.unclaimed += entries.len();
     }
 
-    /// Runs a search to completion on the calling worker: claims entries
-    /// from the deepest frame (the sequential depth-first order) and
-    /// backtracks over exhausted frames, while thieves split the shallowest
-    /// frame off through [`FineSearch::split`]. Winds down early, with
-    /// entries unclaimed, once the sink stops the run.
-    fn run_search(&self, search: &FineSearch<'a>, worker: usize) {
-        let b = &search.bounds;
-        let mut guard = search.state.lock();
-        loop {
-            if self.sink.stopped() {
-                break;
+    /// The owner's claim-or-backtrack step, whichever driver owns the
+    /// search: runs the next unclaimed entry of the deepest frame (the
+    /// sequential depth-first order), or pops that frame once it is
+    /// exhausted. Returns `false` when no frame is left. Forced inline, with
+    /// [`expand`](Self::expand), into the owner's loop: left to the
+    /// compiler, the single-thread drain ran 7–16% slower than the
+    /// recursive search it replaced on hub-burst and dense-graph roots.
+    #[inline(always)]
+    fn step<U: UnionQuery + ?Sized>(
+        &self,
+        b: &RootBounds,
+        union: &U,
+        st: &mut SearchState<'a>,
+        worker: usize,
+    ) -> bool {
+        let Some(frame) = st.frames.last_mut() else {
+            return false;
+        };
+        if let Some((&entry, rest)) = frame.entries.split_first() {
+            frame.entries = rest;
+            let sums = (frame.sum, frame.last_amount);
+            st.unclaimed -= 1;
+            self.expand(b, union, st, entry, sums, worker);
+        } else {
+            st.frames.pop();
+            if st.frames.is_empty() {
+                return false;
             }
+            let v = st.path.pop().expect("a frame above the base owns a vertex");
+            st.path_edges.pop();
+            st.on_path.remove(&v);
+        }
+        true
+    }
+
+    /// Prepares and drains the search of every root `roots` yields, one
+    /// after another on the calling worker — the loop of every driver but
+    /// the fine one. A search drained here is never registered or locked.
+    /// Winds down early, with roots and entries unclaimed, once the sink
+    /// stops the run.
+    fn sweep(
+        &self,
+        mut roots: impl Iterator<Item = EdgeId>,
+        scratch: &mut RootScratch,
+        worker: usize,
+    ) {
+        let mut st = SearchState::lend(scratch);
+        while !self.sink.stopped() {
+            let Some(root) = roots.next() else {
+                break;
+            };
+            if let Some(b) = self.prepare_root(root, scratch, &mut st, worker) {
+                while !self.sink.stopped() && self.step(&b, &scratch.union, &mut st, worker) {}
+            }
+        }
+        st.give_back(scratch);
+    }
+
+    /// The coarse driver: pool workers claim roots one at a time from a
+    /// dynamic counter and sweep them.
+    fn sweep_claimed(
+        &self,
+        roots: Range<EdgeId>,
+        pool: &ThreadPool,
+        scratches: &mut [RootScratch],
+    ) {
+        let counter = DynamicCounter::new(roots.len(), 1);
+        let base = roots.start;
+        pool.scope(|scope| {
+            for scratch in scratches[..pool.num_threads()].iter_mut() {
+                let counter = &counter;
+                scope.spawn(move |_, ctx| {
+                    let worker = ctx.worker_id();
+                    let t0 = Instant::now();
+                    let claimed = std::iter::from_fn(|| counter.next()).map(|i| base + i as EdgeId);
+                    self.sweep(claimed, scratch, worker);
+                    self.metrics.add_busy(worker, t0.elapsed());
+                });
+            }
+        });
+    }
+
+    /// The sharded driver (see [`DeltaDriver::Sharded`]): pool workers claim
+    /// shards from a dynamic counter and sweep each claimed shard's roots
+    /// through a sink that attributes its cycles to the shard. Returns the
+    /// per-shard attribution.
+    fn sweep_shards(
+        &self,
+        spec: ShardSpec,
+        roots: Range<EdgeId>,
+        sink: &S,
+        pool: &ThreadPool,
+        scratches: &mut [RootScratch],
+    ) -> Vec<ShardStats> {
+        let nshards = spec.shards();
+        let counter = DynamicCounter::new(nshards, 1);
+        let shard_cycles: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
+        let shard_roots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
+        // A sink's Break latches per shard (each shard wraps its own
+        // HaltingSink); this flag propagates the stop to shards other workers
+        // are sweeping.
+        let stop = AtomicBool::new(false);
+
+        pool.scope(|scope| {
+            for scratch in scratches[..pool.num_threads().min(nshards)].iter_mut() {
+                let (counter, stop) = (&counter, &stop);
+                let (shard_cycles, shard_roots) = (&shard_cycles, &shard_roots);
+                let roots = roots.clone();
+                scope.spawn(move |_, ctx| {
+                    let worker = ctx.worker_id();
+                    while let Some(s) = counter.next() {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let t0 = Instant::now();
+                        let shard_sink = ShardCountingSink {
+                            inner: sink,
+                            cycles: &shard_cycles[s],
+                        };
+                        let halting = HaltingSink::new(&shard_sink);
+                        let mut owned = 0u64;
+                        let owned_roots = roots
+                            .clone()
+                            .take_while(|_| !stop.load(Ordering::Relaxed))
+                            .filter(|&root| spec.owner(self.graph.edge(root).src) == s)
+                            .inspect(|_| owned += 1);
+                        self.with_sink(&halting).sweep(owned_roots, scratch, worker);
+                        shard_roots[s].store(owned, Ordering::Relaxed);
+                        if halting.stopped() {
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                        self.metrics.add_busy(worker, t0.elapsed());
+                    }
+                });
+            }
+        });
+
+        shard_roots
+            .iter()
+            .zip(&shard_cycles)
+            .enumerate()
+            .map(|(shard, (r, c))| ShardStats {
+                shard,
+                roots: r.load(Ordering::Relaxed),
+                cycles: c.load(Ordering::Relaxed),
+            })
+            .collect()
+    }
+
+    /// This pass reporting to `sink` instead.
+    fn with_sink<'b, T>(&self, sink: &'b HaltingSink<'b, T>) -> Pass<'b, G, T>
+    where
+        'a: 'b,
+    {
+        Pass {
+            graph: self.graph,
+            sink,
+            metrics: self.metrics,
+            kind: self.kind,
+            floor: self.floor,
+            predicate: self.predicate,
+            push: self.push,
+        }
+    }
+
+    /// Runs a registered search to completion on the calling worker through
+    /// [`step`](Self::step), while thieves split the shallowest frame off
+    /// through [`FineSearch::split`]. The owner keeps the search's lock
+    /// across steps and hands it over whenever a thief waits. Winds down
+    /// early, with entries unclaimed, once the sink stops the run.
+    fn run_search(&self, search: &FineSearch<'a>, worker: usize) {
+        let (b, union) = (&search.bounds, &*search.union);
+        let mut guard = search.state.lock();
+        while !self.sink.stopped() {
             if search.thieves.load(Ordering::Relaxed) > 0 {
                 // Let every waiting thief take its turn before the next step.
                 drop(guard);
@@ -1462,244 +1087,102 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> FineDeltaShared<'a, G, S> {
                 guard = search.state.lock();
             }
             let st = &mut *guard;
-            let Some(frame) = st.frames.last_mut() else {
+            if !self.step(b, union, st, worker) {
                 break;
-            };
-            if let Some(&entry) = frame.entries.get(frame.next) {
-                frame.next += 1;
-                st.unclaimed -= 1;
-                self.expand(b, st, entry, worker);
-                let stealable = st.unclaimed > 0;
-                if search.stealable.load(Ordering::Relaxed) != stealable {
-                    search.stealable.store(stealable, Ordering::Relaxed);
-                }
-            } else {
-                st.frames.pop();
-                if st.frames.is_empty() {
-                    break;
-                }
-                let v = st.path.pop().expect("a frame above the base owns a vertex");
-                st.path_edges.pop();
-                st.on_path.remove(&v);
+            }
+            let stealable = st.unclaimed > 0;
+            if search.stealable.load(Ordering::Relaxed) != stealable {
+                search.stealable.store(stealable, Ordering::Relaxed);
             }
         }
     }
 
-    /// Registers `state` as a search under `bounds`, runs it, and hands its
-    /// buffers back for reuse.
+    /// Registers `state` as a search under `bounds` and `union`, runs it,
+    /// and hands its buffers back for reuse.
     fn run_registered(
         &self,
-        bounds: RootBounds,
+        sched: &StealLoop<FineSearch<'a>>,
+        (bounds, union): (RootBounds, Arc<UnionView>),
         state: SearchState<'a>,
         worker: usize,
     ) -> SearchState<'a> {
         let search = Arc::new(FineSearch {
             bounds,
+            union,
             stealable: AtomicBool::new(state.unclaimed > 0),
             thieves: AtomicUsize::new(0),
             state: Mutex::new(state),
         });
-        let guard = self.sched.register(Arc::clone(&search));
+        let guard = sched.register(Arc::clone(&search));
         self.run_search(&search, worker);
         drop(guard);
         search.stealable.store(false, Ordering::Relaxed);
         let state = std::mem::take(&mut *search.state.lock());
         state
     }
-}
 
-/// The shared fine-grained delta driver — the paper's copy-on-steal (§5)
-/// applied to the max-edge-rooted backward search. Workers run a
-/// [`StealLoop`] over the batch range, like `par::fine_johnson`: they claim
-/// roots and run each closing root's search on an explicit frame stack,
-/// registered for thieves. The owner claims entries from its deepest frame, so a
-/// lone worker keeps the sequential order and counters and allocates
-/// nothing per call; an idle worker splits the shallowest frame's next
-/// branch off any registered search, copies the path prefix once and runs
-/// the branch as a search of its own, itself open to further steals. The
-/// delta search has no blocked set, so a steal needs no unblock pass. A
-/// batch whose cycles all hang off one hot root thus still engages every
-/// worker, and state is copied once per steal rather than once per branch.
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + predicate
-fn run_delta_fine<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    mode: FineDeltaMode<'_>,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    let threads = pool.num_threads();
-    assert!(
-        scratches.len() >= threads,
-        "need one scratch per pool worker"
-    );
-    let metrics = WorkMetrics::new(threads);
-    let start = Instant::now();
-    let base = roots.start;
-    let sink = HaltingSink::new(sink);
-    let shared = FineDeltaShared {
-        graph,
-        sink: &sink,
-        metrics: &metrics,
-        mode,
-        predicate,
-        push: Pushdown::of(predicate),
-        sched: StealLoop::new(roots.len()),
-    };
-
-    pool.scope(|scope| {
-        for scratch in scratches[..threads].iter_mut() {
-            let shared = &shared;
-            scope.spawn(move |_, ctx| {
-                let worker = ctx.worker_id();
-                let mut spare = SearchState::lend(scratch);
-                shared.sched.run_worker(
-                    &mut spare,
-                    || shared.sink.stopped(),
-                    |spare, i| {
-                        let t0 = Instant::now();
-                        let root = base + i as EdgeId;
-                        if let Some(bounds) =
-                            shared.prepare_root(root, floor, scratch, spare, worker)
-                        {
-                            *spare = shared.run_registered(bounds, std::mem::take(spare), worker);
-                        }
-                        shared.metrics.add_busy(worker, t0.elapsed());
-                    },
-                    |spare, victim| {
-                        victim.split(mode, spare, &shared.sched, shared.metrics, worker)
-                    },
-                    |spare, bounds| {
-                        let t0 = Instant::now();
-                        shared.metrics.steal_event(worker);
-                        *spare = shared.run_registered(bounds, std::mem::take(spare), worker);
-                        shared.metrics.add_busy(worker, t0.elapsed());
-                    },
-                );
-                spare.give_back(scratch);
-            });
-        }
-    });
-
-    RunStats {
-        cycles: sink.count(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        work: metrics.snapshot(),
-        threads,
-        ..RunStats::default()
+    /// The fine driver — the paper's copy-on-steal (§5) applied to the
+    /// max-edge-rooted backward search. Workers run a [`StealLoop`] over
+    /// the batch range, like `par::fine_johnson`: they claim roots and run
+    /// each closing root's search registered for thieves. An idle worker
+    /// splits the shallowest frame's next branch off any registered search,
+    /// copies the path prefix once and runs the branch as a search of its
+    /// own, itself open to further steals. A batch whose cycles all hang off
+    /// one hot root thus still engages every worker, and state is copied
+    /// once per steal rather than once per branch.
+    fn run_fine(&self, roots: Range<EdgeId>, pool: &ThreadPool, scratches: &mut [RootScratch]) {
+        let sched = StealLoop::new(roots.len());
+        let base = roots.start;
+        pool.scope(|scope| {
+            for scratch in scratches[..pool.num_threads()].iter_mut() {
+                let sched = &sched;
+                scope.spawn(move |_, ctx| {
+                    let worker = ctx.worker_id();
+                    let mut spare = SearchState::lend(scratch);
+                    sched.run_worker(
+                        &mut spare,
+                        || self.sink.stopped(),
+                        |spare, i| {
+                            let t0 = Instant::now();
+                            let root = base + i as EdgeId;
+                            if let Some(bounds) = self.prepare_root(root, scratch, spare, worker) {
+                                // Snapshot the union so thieves can share it.
+                                let ws = &scratch.union;
+                                let union = Arc::new(if self.kind.is_temporal() {
+                                    UnionView::from_temporal(ws)
+                                } else {
+                                    UnionView::from_simple(ws)
+                                });
+                                let search = (bounds, union);
+                                *spare = self.run_registered(
+                                    sched,
+                                    search,
+                                    std::mem::take(spare),
+                                    worker,
+                                );
+                            }
+                            self.metrics.add_busy(worker, t0.elapsed());
+                        },
+                        |spare, victim| victim.split(self.kind, spare, sched, self.metrics, worker),
+                        |spare, search| {
+                            let t0 = Instant::now();
+                            self.metrics.steal_event(worker);
+                            *spare =
+                                self.run_registered(sched, search, std::mem::take(spare), worker);
+                            self.metrics.add_busy(worker, t0.elapsed());
+                        },
+                    );
+                    spare.give_back(scratch);
+                });
+            }
+        });
     }
-    .tagged(Algorithm::Johnson, Granularity::FineGrained)
-}
-
-/// Fine-grained parallel simple-cycle delta enumeration: one frame-stack
-/// search per closing root whose branches idle workers steal mid-search
-/// (the paper's copy-on-steal decomposition applied to the backward,
-/// max-edge-rooted search). Allocates fresh per-worker scratch;
-/// high-frequency callers should use [`delta_simple_fine_with_scratch`].
-pub fn delta_simple_fine<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_simple_fine_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_simple_fine`] with caller-owned per-worker scratches (at least
-/// `pool.num_threads()` of them, each covering `graph.num_vertices()`).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_simple_fine_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &SimpleCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Simple(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
-}
-
-/// Fine-grained parallel temporal-cycle delta enumeration (see
-/// [`delta_simple_fine`]). Allocates fresh per-worker scratch; high-frequency
-/// callers should use [`delta_temporal_fine_with_scratch`].
-pub fn delta_temporal_fine<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    let mut scratches = fresh_scratches(graph, pool);
-    delta_temporal_fine_with_scratch(
-        graph,
-        roots,
-        floor,
-        opts,
-        predicate,
-        sink,
-        pool,
-        &mut scratches,
-    )
-}
-
-/// [`delta_temporal_fine`] with caller-owned per-worker scratches (see
-/// [`delta_simple_fine_with_scratch`]).
-#[allow(clippy::too_many_arguments)] // the parallel driver signature + scratches
-pub fn delta_temporal_fine_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
-    graph: &G,
-    roots: Range<EdgeId>,
-    floor: Timestamp,
-    opts: &TemporalCycleOptions,
-    predicate: &CyclePredicate,
-    sink: &S,
-    pool: &ThreadPool,
-    scratches: &mut [RootScratch],
-) -> RunStats {
-    run_delta_fine(
-        graph,
-        roots,
-        floor,
-        FineDeltaMode::Temporal(opts),
-        predicate,
-        sink,
-        pool,
-        scratches,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycle::{CollectingSink, CountingSink};
+    use crate::cycle::{CollectingSink, CountingSink, Cycle, FirstKSink};
     use crate::seq::johnson::johnson_simple;
     use crate::seq::temporal::temporal_simple;
     use pce_graph::generators::{self, RandomTemporalConfig};
@@ -1709,11 +1192,68 @@ mod tests {
         0..g.num_edges() as EdgeId
     }
 
-    /// Rooting every edge as the *maximum* must enumerate exactly the same
-    /// cycle set as rooting every edge as the *minimum* (the one-shot path)
-    /// — and both must match the shared brute-force oracle.
+    fn plan(kind: DeltaKind, driver: DeltaDriver, predicate: &CyclePredicate) -> DeltaPlan<'_> {
+        DeltaPlan {
+            kind,
+            driver,
+            floor: Timestamp::MIN,
+            predicate,
+        }
+    }
+
+    /// Runs `plan` over `roots` on fresh scratches, one per worker of `pool`
+    /// (which the sequential driver ignores).
+    fn run_on<S: CycleSink>(
+        g: &TemporalGraph,
+        plan: &DeltaPlan<'_>,
+        roots: Range<EdgeId>,
+        sink: &S,
+        pool: &ThreadPool,
+    ) -> RunStats {
+        let mut scratches: Vec<RootScratch> = (0..pool.num_threads())
+            .map(|_| RootScratch::new(g.num_vertices()))
+            .collect();
+        run(plan, g, roots, sink, Some(pool), &mut scratches)
+    }
+
+    /// Every driver with the pool it is tested on: sequential once, and
+    /// sharded (3 shards), coarse and fine on 1, 2 and 4 workers.
+    struct Drivers {
+        pools: Vec<ThreadPool>,
+    }
+
+    impl Drivers {
+        fn new() -> Self {
+            Self {
+                pools: [1, 2, 4].into_iter().map(ThreadPool::new).collect(),
+            }
+        }
+
+        fn iter(&self) -> impl Iterator<Item = (DeltaDriver, &ThreadPool)> {
+            let parallel = [
+                DeltaDriver::Sharded(ShardSpec::new(3)),
+                DeltaDriver::Coarse,
+                DeltaDriver::Fine,
+            ];
+            std::iter::once((DeltaDriver::Sequential, &self.pools[0])).chain(
+                self.pools
+                    .iter()
+                    .flat_map(move |pool| parallel.map(|driver| (driver, pool))),
+            )
+        }
+    }
+
+    /// The label of one driver run in assertion messages.
+    fn label(driver: DeltaDriver, pool: &ThreadPool) -> String {
+        format!("{driver:?} on {} workers", pool.num_threads())
+    }
+
+    /// Every driver must enumerate exactly the brute-force oracle's cycle
+    /// set — which rooting every edge as the *minimum* (the one-shot path)
+    /// also matches. The oracle shares no code with the delta search.
     #[test]
     fn max_rooted_matches_min_rooted_simple() {
+        let drivers = Drivers::new();
         for seed in 0..6 {
             let g = generators::uniform_temporal(RandomTemporalConfig {
                 num_vertices: 14,
@@ -1727,22 +1267,25 @@ mod tests {
                 let fwd = CollectingSink::new();
                 johnson_simple(&g, &opts, &fwd);
                 assert_eq!(fwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
-                let bwd = CollectingSink::new();
-                delta_simple(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &opts,
-                    &CyclePredicate::pass_all(),
-                    &bwd,
-                );
-                assert_eq!(bwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
+                let pass_all = CyclePredicate::pass_all();
+                for (driver, pool) in drivers.iter() {
+                    let bwd = CollectingSink::new();
+                    let plan = plan(DeltaKind::Simple(opts), driver, &pass_all);
+                    run_on(&g, &plan, all_roots(&g), &bwd, pool);
+                    let run = label(driver, pool);
+                    assert_eq!(
+                        bwd.canonical_cycles(),
+                        oracle,
+                        "seed {seed} delta {delta} {run}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn max_rooted_matches_min_rooted_temporal() {
+        let drivers = Drivers::new();
         for seed in 0..6 {
             let g = generators::power_law_temporal(RandomTemporalConfig {
                 num_vertices: 20,
@@ -1756,250 +1299,223 @@ mod tests {
                 let fwd = CollectingSink::new();
                 temporal_simple(&g, &opts, &fwd);
                 assert_eq!(fwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
-                let bwd = CollectingSink::new();
-                delta_temporal(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &opts,
-                    &CyclePredicate::pass_all(),
-                    &bwd,
-                );
-                assert_eq!(bwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
+                let pass_all = CyclePredicate::pass_all();
+                for (driver, pool) in drivers.iter() {
+                    let bwd = CollectingSink::new();
+                    let plan = plan(DeltaKind::Temporal(opts), driver, &pass_all);
+                    run_on(&g, &plan, all_roots(&g), &bwd, pool);
+                    let run = label(driver, pool);
+                    assert_eq!(
+                        bwd.canonical_cycles(),
+                        oracle,
+                        "seed {seed} delta {delta} {run}"
+                    );
+                }
             }
         }
     }
 
+    /// Cycle counts of small hand-built cases under every driver: the
+    /// options, the floor and the root range are respected whoever runs the
+    /// pass. Each case is `(graph, kind, floor, roots, expected cycles)`.
     #[test]
-    fn unconstrained_and_bounded_options_are_respected() {
-        let g = GraphBuilder::new()
+    fn options_floor_and_root_range_are_respected_by_every_driver() {
+        // 0↔1 (closed at t=2) and the triangle 0→1→2→0 (closed at t=4).
+        let two_cycles = GraphBuilder::new()
             .add_edge(0, 1, 1)
             .add_edge(1, 0, 2)
             .add_edge(1, 2, 3)
             .add_edge(2, 0, 4)
             .build();
-        let all = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &all,
-        );
-        assert_eq!(all.count(), 2);
-        for c in all.canonical_cycles() {
-            c.validate(&g).expect("structurally valid");
-        }
-        let short = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().max_len(2),
-            &CyclePredicate::pass_all(),
-            &short,
-        );
-        assert_eq!(short.count(), 1);
-    }
-
-    #[test]
-    fn self_loops_only_when_requested() {
-        let g = GraphBuilder::new()
+        let self_loop = GraphBuilder::new()
             .add_edge(0, 0, 1)
             .add_edge(0, 1, 2)
             .add_edge(1, 0, 3)
             .build();
-        let without = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &without,
-        );
-        assert_eq!(without.count(), 1);
-        let with = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().include_self_loops(true),
-            &CyclePredicate::pass_all(),
-            &with,
-        );
-        assert_eq!(with.count(), 2);
-    }
-
-    #[test]
-    fn floor_excludes_expired_content() {
-        // Triangle closed by the t=10 edge, but the t=1 edge is below floor.
-        let g = GraphBuilder::new()
+        // Triangle closed by the t=10 edge, whose t=1 first hop a floor of 3
+        // expires.
+        let triangle = GraphBuilder::new()
             .add_edge(0, 1, 1)
             .add_edge(1, 2, 5)
             .add_edge(2, 0, 10)
             .build();
-        let open = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &open,
-        );
-        assert_eq!(open.count(), 1);
-        let floored = CountingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            3,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &floored,
-        );
-        assert_eq!(floored.count(), 0, "expired first hop breaks the cycle");
-        // Roots themselves below the floor are skipped outright.
-        let t = CountingSink::new();
-        delta_temporal(
-            &g,
-            all_roots(&g),
-            11,
-            &TemporalCycleOptions::with_window(100),
-            &CyclePredicate::pass_all(),
-            &t,
-        );
-        assert_eq!(t.count(), 0);
+        // Two vertex-disjoint 2-cycles; each closes at its own later edge, so
+        // the root range {2} (the 1→0 edge) closes exactly the 0/1 cycle.
+        let disjoint = GraphBuilder::new()
+            .add_edge(0, 1, 1)
+            .add_edge(2, 3, 2)
+            .add_edge(1, 0, 3)
+            .add_edge(3, 2, 4)
+            .build();
+        let unconstrained = DeltaKind::Simple(SimpleCycleOptions::unconstrained());
+        let with_loops =
+            DeltaKind::Simple(SimpleCycleOptions::unconstrained().include_self_loops(true));
+        let temporal = DeltaKind::Temporal(TemporalCycleOptions::with_window(100));
+        let min = Timestamp::MIN;
+        let cases: [(&TemporalGraph, DeltaKind, Timestamp, Range<EdgeId>, u64); 10] = [
+            (&two_cycles, unconstrained, min, 0..4, 2),
+            (
+                &two_cycles,
+                DeltaKind::Simple(SimpleCycleOptions::unconstrained().max_len(2)),
+                min,
+                0..4,
+                1,
+            ),
+            (&self_loop, unconstrained, min, 0..3, 1),
+            (&self_loop, with_loops, min, 0..3, 2),
+            // Both cycle-closing hops are expired.
+            (&self_loop, unconstrained, 3, 0..3, 0),
+            (&triangle, unconstrained, min, 0..3, 1),
+            (&triangle, unconstrained, 3, 0..3, 0),
+            // Roots themselves below the floor are skipped outright.
+            (&triangle, temporal, 11, 0..3, 0),
+            (&disjoint, unconstrained, min, 2..3, 1),
+            (&disjoint, unconstrained, min, 0..4, 2),
+        ];
+        let drivers = Drivers::new();
+        let pass_all = CyclePredicate::pass_all();
+        for (i, (g, kind, floor, roots, expected)) in cases.into_iter().enumerate() {
+            for (driver, pool) in drivers.iter() {
+                let plan = DeltaPlan {
+                    floor,
+                    ..plan(kind, driver, &pass_all)
+                };
+                let sink = CollectingSink::new();
+                run_on(g, &plan, roots.clone(), &sink, pool);
+                let run = label(driver, pool);
+                let cycles = sink.into_cycles();
+                assert_eq!(cycles.len() as u64, expected, "case {i} {run}");
+                for c in &cycles {
+                    c.validate(g).expect("structurally valid");
+                }
+                if i == 8 {
+                    assert!(cycles[0].vertices.contains(&0) && cycles[0].vertices.contains(&1));
+                }
+            }
+        }
     }
 
+    /// A halting sink stops every driver after exactly its first k cycles.
     #[test]
-    fn parallel_matches_sequential() {
-        let g = generators::uniform_temporal(RandomTemporalConfig {
-            num_vertices: 18,
-            num_edges: 90,
-            time_span: 60,
-            seed: 77,
-        });
-        let pool = ThreadPool::new(4);
-        let simple_opts = SimpleCycleOptions::with_window(20);
-        let seq = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let par = CollectingSink::new();
-        let stats = delta_simple_parallel(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &par,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
-        assert_eq!(stats.threads, 4);
-
-        let temporal_opts = TemporalCycleOptions::with_window(25);
-        let seq = CollectingSink::new();
-        delta_temporal(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let par = CollectingSink::new();
-        delta_temporal_parallel(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &par,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
+    fn early_termination_stops_every_driver() {
+        let g = generators::fig4a_exponential_cycles(12);
+        let pass_all = CyclePredicate::pass_all();
+        let kind = DeltaKind::Simple(SimpleCycleOptions::unconstrained());
+        for (driver, pool) in Drivers::new().iter() {
+            let sink = FirstKSink::new(3);
+            run_on(
+                &g,
+                &plan(kind, driver, &pass_all),
+                all_roots(&g),
+                &sink,
+                pool,
+            );
+            assert_eq!(sink.into_cycles().len(), 3, "{}", label(driver, pool));
+        }
     }
 
+    /// Every driver reports the sequential driver's cycles with the same
+    /// deterministic work counters, on its own thread count and granularity
+    /// tag, at every floor.
     #[test]
-    fn fine_matches_sequential() {
-        let g = generators::uniform_temporal(RandomTemporalConfig {
-            num_vertices: 18,
-            num_edges: 90,
-            time_span: 60,
-            seed: 78,
+    fn every_driver_matches_sequential() {
+        let drivers = Drivers::new();
+        let pass_all = CyclePredicate::pass_all();
+        let uniform = |seed| {
+            generators::uniform_temporal(RandomTemporalConfig {
+                num_vertices: 18,
+                num_edges: 90,
+                time_span: 60,
+                seed,
+            })
+        };
+        let power_law = generators::power_law_temporal(RandomTemporalConfig {
+            num_vertices: 20,
+            num_edges: 110,
+            time_span: 70,
+            seed: 1_301,
         });
-        let pool = ThreadPool::new(4);
-        let simple_opts = SimpleCycleOptions::with_window(20);
-        let seq = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let fine = CollectingSink::new();
-        let stats = delta_simple_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &fine,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), fine.canonical_cycles());
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.granularity, Some(Granularity::FineGrained));
+        let cases = [
+            (
+                uniform(77),
+                DeltaKind::Simple(SimpleCycleOptions::with_window(20)),
+            ),
+            (
+                uniform(77),
+                DeltaKind::Temporal(TemporalCycleOptions::with_window(25)),
+            ),
+            (
+                uniform(78),
+                DeltaKind::Simple(SimpleCycleOptions::with_window(20)),
+            ),
+            (
+                uniform(78),
+                DeltaKind::Temporal(TemporalCycleOptions::with_window(25).max_len(4)),
+            ),
+            (
+                power_law,
+                DeltaKind::Temporal(TemporalCycleOptions::with_window(30)),
+            ),
+        ];
+        for (i, (g, kind)) in cases.iter().enumerate() {
+            for floor in [Timestamp::MIN, 20] {
+                let plan_for = |driver| DeltaPlan {
+                    floor,
+                    ..plan(*kind, driver, &pass_all)
+                };
+                let seq = CollectingSink::new();
+                let seq_stats = run_on(
+                    g,
+                    &plan_for(DeltaDriver::Sequential),
+                    all_roots(g),
+                    &seq,
+                    &drivers.pools[0],
+                );
+                assert!(!seq.canonical_cycles().is_empty(), "case {i}");
+                for (driver, pool) in drivers.iter() {
+                    let sink = CollectingSink::new();
+                    let stats = run_on(g, &plan_for(driver), all_roots(g), &sink, pool);
+                    let run = label(driver, pool);
+                    assert_eq!(
+                        seq.canonical_cycles(),
+                        sink.canonical_cycles(),
+                        "case {i} floor {floor} {run}"
+                    );
+                    assert_same_work(&seq_stats, &stats);
+                    let threads = if driver == DeltaDriver::Sequential {
+                        1
+                    } else {
+                        pool.num_threads()
+                    };
+                    assert_eq!(stats.threads, threads, "{run}");
+                    assert_eq!(stats.granularity, Some(driver.granularity()), "{run}");
+                    if let DeltaDriver::Sharded(spec) = driver {
+                        assert_eq!(stats.shards.len(), spec.shards(), "{run}");
+                        let roots: u64 = stats.shards.iter().map(|s| s.roots).sum();
+                        let cycles: u64 = stats.shards.iter().map(|s| s.cycles).sum();
+                        assert_eq!(roots, g.num_edges() as u64, "{run}");
+                        assert_eq!(cycles, stats.cycles, "{run}");
+                    }
+                }
+            }
+        }
+    }
 
-        let temporal_opts = TemporalCycleOptions::with_window(25).max_len(4);
-        let seq = CollectingSink::new();
-        delta_temporal(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &seq,
-        );
-        let fine = CollectingSink::new();
-        delta_temporal_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &temporal_opts,
-            &CyclePredicate::pass_all(),
-            &fine,
-            &pool,
-        );
-        assert_eq!(seq.canonical_cycles(), fine.canonical_cycles());
-
-        // Steal-time state restore: all of a lattice's cycles hang off one
-        // root, so 8 workers split it mid-path, and under these predicates
-        // a thief's pruning is only right if it resumes with the stolen
-        // frame's running total and last amount.
+    /// Steal-time state restore: all of a lattice's cycles hang off one
+    /// root, so 8 workers split it mid-path, and under these predicates a
+    /// thief's pruning is only right if it resumes with the stolen frame's
+    /// running total and last amount.
+    #[test]
+    fn fine_steals_restore_frame_state() {
         let g = attributed_hub_burst(2, 10);
+        let seq_pool = ThreadPool::new(1);
         let pool = ThreadPool::new(8);
-        let simple_opts = SimpleCycleOptions::unconstrained();
-        let temporal_opts = TemporalCycleOptions::with_window(100);
+        let simple = DeltaKind::Simple(SimpleCycleOptions::unconstrained());
+        let temporal = DeltaKind::Temporal(TemporalCycleOptions::with_window(100));
+        let pass_all = CyclePredicate::pass_all();
         let all = CollectingSink::new();
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &simple_opts,
-            &CyclePredicate::pass_all(),
-            &all,
-        );
+        let plan_all = plan(simple, DeltaDriver::Sequential, &pass_all);
+        run_on(&g, &plan_all, all_roots(&g), &all, &seq_pool);
         let all = all.into_cycles();
         let mut totals: Vec<Amount> = all
             .iter()
@@ -2022,58 +1538,46 @@ mod tests {
         ];
         for (i, p) in predicates.iter().enumerate() {
             let seq = CollectingSink::new();
-            let seq_stats = delta_simple(&g, all_roots(&g), Timestamp::MIN, &simple_opts, p, &seq);
+            let seq_stats = run_on(
+                &g,
+                &plan(simple, DeltaDriver::Sequential, p),
+                all_roots(&g),
+                &seq,
+                &seq_pool,
+            );
             let seq_t = CollectingSink::new();
-            let seq_t_stats =
-                delta_temporal(&g, all_roots(&g), Timestamp::MIN, &temporal_opts, p, &seq_t);
+            let seq_t_stats = run_on(
+                &g,
+                &plan(temporal, DeltaDriver::Sequential, p),
+                all_roots(&g),
+                &seq_t,
+                &seq_pool,
+            );
             assert_eq!(seq.canonical_cycles(), seq_t.canonical_cycles(), "case {i}");
             // Every predicate keeps some cycles and, but for pass-all, cuts
             // some.
             assert!(!seq.canonical_cycles().is_empty(), "case {i}");
             assert_eq!(seq.count() == all.len() as u64, i == 0, "case {i}");
             for run in 0..3 {
-                let fine = CollectingSink::new();
-                let stats = delta_simple_fine(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &simple_opts,
-                    p,
-                    &fine,
-                    &pool,
-                );
-                assert_eq!(
-                    seq.canonical_cycles(),
-                    fine.canonical_cycles(),
-                    "case {i} run {run}"
-                );
-                assert_same_work(&seq_stats, &stats);
-                let fine = CollectingSink::new();
-                let stats = delta_temporal_fine(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &temporal_opts,
-                    p,
-                    &fine,
-                    &pool,
-                );
-                assert_eq!(
-                    seq.canonical_cycles(),
-                    fine.canonical_cycles(),
-                    "case {i} run {run}"
-                );
-                assert_same_work(&seq_t_stats, &stats);
+                for (kind, seq_stats) in [(simple, &seq_stats), (temporal, &seq_t_stats)] {
+                    let fine = CollectingSink::new();
+                    let plan = plan(kind, DeltaDriver::Fine, p);
+                    let stats = run_on(&g, &plan, all_roots(&g), &fine, &pool);
+                    assert_eq!(
+                        seq.canonical_cycles(),
+                        fine.canonical_cycles(),
+                        "case {i} run {run}"
+                    );
+                    assert_same_work(seq_stats, &stats);
+                }
             }
             // A halting sink stops thieves and owners alike, after exactly
             // its first k cycles — each one a cycle the full run reports.
-            let first = crate::cycle::FirstKSink::new(5);
-            delta_simple_fine(
+            let first = FirstKSink::new(5);
+            run_on(
                 &g,
+                &plan(simple, DeltaDriver::Fine, p),
                 all_roots(&g),
-                Timestamp::MIN,
-                &simple_opts,
-                p,
                 &first,
                 &pool,
             );
@@ -2107,10 +1611,10 @@ mod tests {
         b.build()
     }
 
-    /// The deterministic work counters a fine-grained run must share with
-    /// the sequential one.
-    fn assert_same_work(seq: &RunStats, fine: &RunStats) {
-        let (s, f) = (&seq.work, &fine.work);
+    /// The deterministic work counters every driver must share with the
+    /// sequential one.
+    fn assert_same_work(seq: &RunStats, other: &RunStats) {
+        let (s, f) = (&seq.work, &other.work);
         assert_eq!(s.total_edge_visits(), f.total_edge_visits());
         assert_eq!(s.total_recursive_calls(), f.total_recursive_calls());
         assert_eq!(s.total_union_members(), f.total_union_members());
@@ -2122,88 +1626,80 @@ mod tests {
         assert!(f.total_copies() <= f.total_steals() + f.total_roots());
     }
 
+    /// A self-loop root is skipped before admission under the temporal
+    /// definition and admitted first under the simple one — by every
+    /// driver, so the prune counters agree: with vertex 5 denied, the
+    /// temporal self-loop `5→5` records no vertex prune and the simple one
+    /// records one.
     #[test]
-    fn fine_results_independent_of_thread_count_and_floor() {
-        let g = generators::power_law_temporal(RandomTemporalConfig {
-            num_vertices: 20,
-            num_edges: 110,
-            time_span: 70,
-            seed: 1_301,
-        });
-        let opts = TemporalCycleOptions::with_window(30);
-        for floor in [Timestamp::MIN, 20] {
-            let reference = CollectingSink::new();
-            delta_temporal(
-                &g,
-                all_roots(&g),
-                floor,
-                &opts,
-                &CyclePredicate::pass_all(),
-                &reference,
-            );
-            for threads in [1, 2, 4] {
-                let sink = CollectingSink::new();
-                delta_temporal_fine(
-                    &g,
-                    all_roots(&g),
-                    floor,
-                    &opts,
-                    &CyclePredicate::pass_all(),
-                    &sink,
-                    &ThreadPool::new(threads),
-                );
-                assert_eq!(
-                    reference.canonical_cycles(),
-                    sink.canonical_cycles(),
-                    "threads {threads} floor {floor}"
-                );
+    fn self_loop_root_prunes_agree_across_drivers() {
+        let g = GraphBuilder::new()
+            .add_edge(0, 1, 1)
+            .add_edge(1, 2, 2)
+            .add_edge(2, 0, 3)
+            .add_edge(5, 5, 4)
+            .build();
+        let deny = CyclePredicate::pass_all().vertices(VertexFilter::deny(vec![5]));
+        let kinds = [
+            (
+                DeltaKind::Temporal(TemporalCycleOptions::with_window(10)),
+                0,
+            ),
+            (
+                DeltaKind::Simple(SimpleCycleOptions::unconstrained().include_self_loops(true)),
+                1,
+            ),
+        ];
+        for (kind, vertex_prunes) in kinds {
+            for (driver, pool) in Drivers::new().iter() {
+                let sink = CountingSink::new();
+                let stats = run_on(&g, &plan(kind, driver, &deny), all_roots(&g), &sink, pool);
+                let run = format!("{kind:?} {}", label(driver, pool));
+                assert_eq!(sink.count(), 1, "{run}");
+                assert_eq!(stats.work.total_vertex_prunes(), vertex_prunes, "{run}");
+                assert_eq!(stats.work.total_positional_prunes(), 0, "{run}");
+                assert_eq!(stats.work.total_aggregate_prunes(), 0, "{run}");
             }
         }
     }
 
+    /// The driver rule both streaming engines share:
+    /// `(requested, threads, shards, roots) → driver`.
     #[test]
-    fn fine_self_loops_and_early_termination() {
-        let g = GraphBuilder::new()
-            .add_edge(0, 0, 1)
-            .add_edge(0, 1, 2)
-            .add_edge(1, 0, 3)
-            .build();
-        let pool = ThreadPool::new(2);
-        let with = CountingSink::new();
-        delta_simple_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained().include_self_loops(true),
-            &CyclePredicate::pass_all(),
-            &with,
-            &pool,
-        );
-        assert_eq!(with.count(), 2);
-        let floored = CountingSink::new();
-        delta_simple_fine(
-            &g,
-            all_roots(&g),
-            3,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &floored,
-            &pool,
-        );
-        assert_eq!(floored.count(), 0, "both cycle-closing hops are expired");
-
-        let g = generators::fig4a_exponential_cycles(12);
-        let sink = crate::cycle::FirstKSink::new(3);
-        delta_simple_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &sink,
-            &pool,
-        );
-        assert_eq!(sink.into_cycles().len(), 3);
+    fn for_batch_degrades_and_shards_like_the_engines() {
+        use DeltaDriver::{Coarse, Fine, Sequential, Sharded};
+        use Granularity::{CoarseGrained, FineGrained};
+        let single = ShardSpec::single();
+        let four = ShardSpec::new(4);
+        let cases = [
+            // One thread or an empty batch: sequential.
+            (Granularity::Sequential, 1, single, 5, Sequential),
+            (Granularity::Sequential, 1, four, 5, Sequential),
+            (Granularity::Sequential, 4, four, 0, Sequential),
+            (CoarseGrained, 1, single, 5, Sequential),
+            (CoarseGrained, 4, single, 0, Sequential),
+            (FineGrained, 1, single, 5, Sequential),
+            (FineGrained, 4, four, 0, Sequential),
+            // A sequential request shards on a sharded multi-threaded engine.
+            (Granularity::Sequential, 4, single, 5, Sequential),
+            (Granularity::Sequential, 4, four, 1, Sharded(four)),
+            (Granularity::Sequential, 2, four, 5, Sharded(four)),
+            // Coarse drops to sequential on a single root, and never shards.
+            (CoarseGrained, 4, single, 1, Sequential),
+            (CoarseGrained, 4, four, 1, Sequential),
+            (CoarseGrained, 4, single, 2, Coarse),
+            (CoarseGrained, 4, four, 5, Coarse),
+            // Fine stays parallel on a single hot root, and never shards.
+            (FineGrained, 4, single, 1, Fine),
+            (FineGrained, 4, four, 5, Fine),
+        ];
+        for (requested, threads, shards, roots, expected) in cases {
+            let driver = DeltaDriver::for_batch(requested, threads, shards, roots);
+            let case = format!("{requested:?} threads {threads} {shards:?} roots {roots}");
+            assert_eq!(driver, expected, "{case}");
+            let scratches = if expected == Sequential { 1 } else { threads };
+            assert_eq!(driver.scratches(threads), scratches, "{case}");
+        }
     }
 
     /// A counting sink that hands the core to thieves: until a second thread
@@ -2259,16 +1755,16 @@ mod tests {
     fn hub_burst_work_is_spread_across_workers() {
         let g = generators::hub_burst(2, 13);
         let expected = generators::hub_burst_cycle_count(2, 13);
-        let opts = SimpleCycleOptions::unconstrained();
+        let pool = ThreadPool::new(4);
+        let pass_all = CyclePredicate::pass_all();
+        let simple = DeltaKind::Simple(SimpleCycleOptions::unconstrained());
         let sink = SpreadGate::new();
-        let stats = delta_simple_fine(
+        let stats = run_on(
             &g,
+            &plan(simple, DeltaDriver::Fine, &pass_all),
             all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &CyclePredicate::pass_all(),
             &sink,
-            &ThreadPool::new(4),
+            &pool,
         );
         assert_eq!(sink.count(), expected);
         eprintln!(
@@ -2299,24 +1795,23 @@ mod tests {
         // The temporal variant agrees on the count (every hub-burst cycle is
         // temporal by construction).
         let sink = CountingSink::new();
-        delta_temporal_fine(
+        let temporal = DeltaKind::Temporal(TemporalCycleOptions::with_window(1_000));
+        run_on(
             &g,
+            &plan(temporal, DeltaDriver::Fine, &pass_all),
             all_roots(&g),
-            Timestamp::MIN,
-            &TemporalCycleOptions::with_window(1_000),
-            &CyclePredicate::pass_all(),
             &sink,
-            &ThreadPool::new(4),
+            &pool,
         );
         assert_eq!(sink.count(), expected);
     }
 
-    /// A panicking sink must fail the run, not hang it: the panicking
-    /// worker's search still counts as finished, so the idle workers leave
-    /// and the pool re-raises the panic. A hang fails the test after a
-    /// minute instead of wedging the suite.
+    /// A panicking sink must fail the run, not hang it: under the fine
+    /// driver the panicking worker's search still counts as finished, so the
+    /// idle workers leave, and every pool driver re-raises the panic. A hang
+    /// fails the test after a minute instead of wedging the suite.
     #[test]
-    fn fine_sink_panic_propagates() {
+    fn sink_panic_propagates() {
         struct Exploding;
         impl CycleSink for Exploding {
             fn push(&self, _: &[VertexId], _: &[EdgeId]) -> std::ops::ControlFlow<()> {
@@ -2336,72 +1831,38 @@ mod tests {
                 .add_edge(2, 0, 3)
                 .build();
             let pool = ThreadPool::new(4);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                delta_simple_fine(
-                    &g,
-                    all_roots(&g),
-                    Timestamp::MIN,
-                    &SimpleCycleOptions::unconstrained(),
-                    &CyclePredicate::pass_all(),
-                    &Exploding,
-                    &pool,
-                )
-            }));
-            let _ = tx.send(result.is_err());
+            let pass_all = CyclePredicate::pass_all();
+            let kind = DeltaKind::Simple(SimpleCycleOptions::unconstrained());
+            for driver in [
+                DeltaDriver::Fine,
+                DeltaDriver::Coarse,
+                DeltaDriver::Sharded(ShardSpec::new(3)),
+                DeltaDriver::Sequential,
+            ] {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_on(
+                        &g,
+                        &plan(kind, driver, &pass_all),
+                        all_roots(&g),
+                        &Exploding,
+                        &pool,
+                    )
+                }));
+                let _ = tx.send((driver, result.is_err()));
+            }
         });
-        let panicked = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the run hung after its sink panicked");
-        assert!(panicked);
-    }
-
-    #[test]
-    fn partial_root_ranges_report_only_their_cycles() {
-        // Two vertex-disjoint 2-cycles; each closes at its own later edge.
-        let g = GraphBuilder::new()
-            .add_edge(0, 1, 1)
-            .add_edge(2, 3, 2)
-            .add_edge(1, 0, 3)
-            .add_edge(3, 2, 4)
-            .build();
-        // Roots {2} (the 1→0 edge) close exactly the 0/1 cycle.
-        let sink = CollectingSink::new();
-        delta_simple(
-            &g,
-            2..3,
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &sink,
-        );
-        let cycles = sink.into_cycles();
-        assert_eq!(cycles.len(), 1);
-        assert!(cycles[0].vertices.contains(&0) && cycles[0].vertices.contains(&1));
-    }
-
-    #[test]
-    fn early_termination_stops_the_delta_run() {
-        let g = generators::fig4a_exponential_cycles(12);
-        let sink = crate::cycle::FirstKSink::new(3);
-        delta_simple(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &SimpleCycleOptions::unconstrained(),
-            &CyclePredicate::pass_all(),
-            &sink,
-        );
-        assert_eq!(sink.into_cycles().len(), 3);
+        for _ in 0..4 {
+            let (driver, panicked) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the run hung after its sink panicked");
+            assert!(panicked, "{driver:?}");
+        }
     }
 
     /// Canonical post-filter baseline: pass-all enumeration re-checked per
     /// cycle with the exact predicate over the reported (max-edge-last)
     /// order.
-    fn post_filtered(
-        g: &TemporalGraph,
-        cycles: Vec<crate::cycle::Cycle>,
-        p: &CyclePredicate,
-    ) -> Vec<crate::cycle::Cycle> {
+    fn post_filtered(g: &TemporalGraph, cycles: Vec<Cycle>, p: &CyclePredicate) -> Vec<Cycle> {
         crate::testing::canonicalized(cycles.into_iter().filter(|c| {
             let edges: Vec<TemporalEdge> = c.edges.iter().map(|&id| g.edge(id)).collect();
             p.accepts_cycle(&edges, &c.vertices)
@@ -2411,9 +1872,9 @@ mod tests {
     /// Hand-sized graph exercising every predicate class end to end: two
     /// 3-cycles share the closing max edge `2→0` but differ in their middle
     /// vertex, labels and amounts, so each predicate class separates them a
-    /// different way. Every pushed predicate must report exactly the
-    /// post-filtered pass-all results, and the classes whose bounds are
-    /// decidable early must record their prune counters.
+    /// different way. Under every driver, every pushed predicate must report
+    /// exactly the oracle's post-filtered cycles, and the classes whose
+    /// bounds are decidable early must record their prune counters.
     #[test]
     fn cycle_predicate_pushdown_matches_post_filter() {
         let mut b = GraphBuilder::new();
@@ -2428,14 +1889,17 @@ mod tests {
         }
         let g = b.build();
         let opts = SimpleCycleOptions::unconstrained();
+        let kind = DeltaKind::Simple(opts);
+        let oracle = crate::testing::oracle_simple(&g, &opts);
+        let drivers = Drivers::new();
         let all = CollectingSink::new();
-        delta_simple(
+        let pass_all = CyclePredicate::pass_all();
+        run_on(
             &g,
+            &plan(kind, DeltaDriver::Sequential, &pass_all),
             all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &CyclePredicate::pass_all(),
             &all,
+            &drivers.pools[0],
         );
         let raw = all.into_cycles();
         assert_eq!(raw.len(), 2, "both 3-cycles close at the 2→0 root");
@@ -2484,28 +1948,33 @@ mod tests {
             ),
         ];
         for (i, (p, expect, counter)) in cases.iter().enumerate() {
-            let expected = post_filtered(&g, raw.clone(), p);
+            let expected = crate::testing::oracle_with_predicates(&g, oracle.clone(), p);
             assert_eq!(expected.len(), *expect, "case {i}: oracle cardinality");
-            let sink = CollectingSink::new();
-            let stats = delta_simple(&g, all_roots(&g), Timestamp::MIN, &opts, p, &sink);
-            assert_eq!(sink.canonical_cycles(), expected, "case {i}: pushdown");
-            match counter {
-                Some("vertex") => assert!(stats.work.total_vertex_prunes() > 0, "case {i}"),
-                Some("positional") => {
-                    assert!(stats.work.total_positional_prunes() > 0, "case {i}")
-                }
-                Some("aggregate") => {
-                    assert!(stats.work.total_aggregate_prunes() > 0, "case {i}")
-                }
-                _ => {}
+            assert_eq!(post_filtered(&g, raw.clone(), p), expected, "case {i}");
+            for (driver, pool) in drivers.iter() {
+                let sink = CollectingSink::new();
+                let stats = run_on(&g, &plan(kind, driver, p), all_roots(&g), &sink, pool);
+                let run = label(driver, pool);
+                assert_eq!(
+                    sink.canonical_cycles(),
+                    expected,
+                    "case {i} {run}: pushdown"
+                );
+                let prunes = match *counter {
+                    Some("vertex") => stats.work.total_vertex_prunes(),
+                    Some("positional") => stats.work.total_positional_prunes(),
+                    Some("aggregate") => stats.work.total_aggregate_prunes(),
+                    _ => continue,
+                };
+                assert!(prunes > 0, "case {i} {run}");
             }
         }
     }
 
     /// The monotone-layering workload separates signal from decoys *only*
-    /// through the aggregate constraints; every driver granularity must
-    /// agree with the post-filtered baseline, record identical prune
-    /// counters, and prune strictly more than zero branches.
+    /// through the aggregate constraints; every driver must agree with the
+    /// post-filtered baseline, record identical prune counters, and prune
+    /// strictly more than zero branches.
     #[test]
     fn aggregate_pushdown_is_identical_across_granularities() {
         use pce_graph::generators::MonotoneLayeringConfig;
@@ -2521,97 +1990,51 @@ mod tests {
         let window = cfg.chain_span;
         let (g, planted) = generators::monotone_layering(cfg);
         assert!(planted > 0);
-        let opts = TemporalCycleOptions::with_window(window);
+        let kind = DeltaKind::Temporal(TemporalCycleOptions::with_window(window));
+        let drivers = Drivers::new();
+        let pool8 = ThreadPool::new(8);
 
         let all = CollectingSink::new();
-        delta_temporal(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &CyclePredicate::pass_all(),
-            &all,
-        );
+        let pass_all = CyclePredicate::pass_all();
+        let seq_plan = plan(kind, DeltaDriver::Sequential, &pass_all);
+        run_on(&g, &seq_plan, all_roots(&g), &all, &drivers.pools[0]);
         let expected = post_filtered(&g, all.into_cycles(), &predicate);
         assert_eq!(expected.len(), planted, "only the planted chains survive");
 
         let seq = CollectingSink::new();
-        let seq_stats = delta_temporal(&g, all_roots(&g), Timestamp::MIN, &opts, &predicate, &seq);
+        let seq_plan = plan(kind, DeltaDriver::Sequential, &predicate);
+        let seq_stats = run_on(&g, &seq_plan, all_roots(&g), &seq, &drivers.pools[0]);
         assert_eq!(seq.canonical_cycles(), expected);
         assert!(
             seq_stats.work.total_aggregate_prunes() > 0,
             "decoys must be pruned mid-path, not post-filtered"
         );
 
-        let pool = ThreadPool::new(4);
-        let mut scratches = fresh_scratches(&g, &pool);
-        let coarse = CollectingSink::new();
-        let coarse_stats = delta_temporal_parallel_with_scratch(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &predicate,
-            &coarse,
-            &pool,
-            &mut scratches,
-        );
-        assert_eq!(coarse.canonical_cycles(), expected);
-        let fine = CollectingSink::new();
-        let fine_stats = delta_temporal_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &predicate,
-            &fine,
-            &pool,
-        );
-        assert_eq!(fine.canonical_cycles(), expected);
-        let pool8 = ThreadPool::new(8);
-        let fine8 = CollectingSink::new();
-        let fine8_stats = delta_temporal_fine(
-            &g,
-            all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &predicate,
-            &fine8,
-            &pool8,
-        );
-        assert_eq!(fine8.canonical_cycles(), expected);
-        assert_same_work(&seq_stats, &fine_stats);
-        assert_same_work(&seq_stats, &fine8_stats);
+        // The prune counters are data-deterministic: identical across every
+        // driver and thread count.
+        for (driver, pool) in drivers.iter().chain([(DeltaDriver::Fine, &pool8)]) {
+            let sink = CollectingSink::new();
+            let stats = run_on(
+                &g,
+                &plan(kind, driver, &predicate),
+                all_roots(&g),
+                &sink,
+                pool,
+            );
+            assert_eq!(sink.canonical_cycles(), expected, "{}", label(driver, pool));
+            assert_same_work(&seq_stats, &stats);
+        }
         // A halting sink stops the fine run after exactly its first cycle.
-        let first = crate::cycle::FirstKSink::new(1);
-        delta_temporal_fine(
+        let first = FirstKSink::new(1);
+        run_on(
             &g,
+            &plan(kind, DeltaDriver::Fine, &predicate),
             all_roots(&g),
-            Timestamp::MIN,
-            &opts,
-            &predicate,
             &first,
             &pool8,
         );
         let halted = crate::testing::canonicalized(first.into_cycles());
         assert_eq!(halted.len(), 1);
         assert!(expected.contains(&halted[0]));
-
-        // The prune counters are data-deterministic: identical across every
-        // granularity and thread count.
-        for stats in [&coarse_stats, &fine_stats, &fine8_stats] {
-            assert_eq!(
-                stats.work.total_aggregate_prunes(),
-                seq_stats.work.total_aggregate_prunes()
-            );
-            assert_eq!(
-                stats.work.total_positional_prunes(),
-                seq_stats.work.total_positional_prunes()
-            );
-            assert_eq!(
-                stats.work.total_vertex_prunes(),
-                seq_stats.work.total_vertex_prunes()
-            );
-        }
     }
 }

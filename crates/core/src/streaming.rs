@@ -79,12 +79,7 @@
 //! enumeration pipeline ever blocking on a slow consumer.
 
 use crate::cycle::{CollectingSink, CountingSink, Cycle, CycleSink};
-use crate::delta::{
-    delta_simple_fine_with_scratch, delta_simple_parallel_with_scratch,
-    delta_simple_sharded_with_scratch, delta_simple_with_scratch, delta_temporal_fine_with_scratch,
-    delta_temporal_parallel_with_scratch, delta_temporal_sharded_with_scratch,
-    delta_temporal_with_scratch,
-};
+use crate::delta::{self, DeltaDriver, DeltaKind, DeltaPlan};
 use crate::engine::{CollectMode, CycleKind, Engine, EnumerationError, Granularity};
 use crate::metrics::{LatencyStats, RunStats};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
@@ -96,6 +91,7 @@ use pce_graph::{
     Amount, CyclePredicate, EdgeId, EdgePredicate, GraphView, Label, ShardSpec, TemporalEdge,
     TemporalGraph, TimeWindow, Timestamp, VertexFilter, VertexId,
 };
+use pce_sched::ThreadPool;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -568,54 +564,40 @@ impl StreamingEngine {
         let delta = self.graph.append_batch_on(batch, pool)?;
         let ingest_secs = t0.elapsed().as_secs_f64();
 
-        // No floor: `window_delta <= retention` (enforced at construction)
-        // guarantees that every edge a root's search can need — timestamps
-        // in `[root_ts - δ : root_ts]` — is still physically stored when the
-        // root arrives, because compaction only removes edges below the
-        // *previous* batch's window start and `root_ts >= watermark` held at
-        // append time. Reports are therefore independent of batch
-        // boundaries: a cycle is announced exactly when its closing edge
-        // arrives, no matter how the stream is chopped.
-        let floor = Timestamp::MIN;
-        let granularity = self.effective_granularity(delta.roots.len());
-        // A Sequential-granularity query on a sharded, multi-threaded engine
-        // runs the delta pass shard-parallel: each shard owns the roots whose
-        // source vertex it stores, so the per-root sequential searches spread
-        // across the pool without changing what is reported (see
-        // `delta::run_delta_sharded`). Coarse/fine granularities already
-        // decompose below shard level and ignore the shard layout here.
-        let sharded = (self.query.granularity == Granularity::Sequential
-            && self.engine.threads() > 1
-            && !self.graph.shard_spec().is_single()
-            && !delta.roots.is_empty())
-        .then(|| self.graph.shard_spec());
-        let want = if sharded.is_some() {
-            self.engine.threads()
-        } else if granularity == Granularity::Sequential {
-            1
-        } else {
-            self.engine.threads()
+        let q = &self.query;
+        let (driver, pool) = batch_driver(
+            &self.engine,
+            q.granularity,
+            &self.graph,
+            delta.roots.len(),
+            &mut self.scratches,
+        );
+        let plan = DeltaPlan {
+            kind: delta_kind(q.kind, q.window_delta, q.max_len, q.include_self_loops),
+            driver,
+            // No floor: `window_delta <= retention` (enforced at
+            // construction) guarantees that every edge a root's search can
+            // need — timestamps in `[root_ts - δ : root_ts]` — is still
+            // physically stored when the root arrives, because compaction
+            // only removes edges below the *previous* batch's window start
+            // and `root_ts >= watermark` held at append time. Reports are
+            // therefore independent of batch boundaries: a cycle is
+            // announced exactly when its closing edge arrives, no matter how
+            // the stream is chopped.
+            floor: Timestamp::MIN,
+            predicate: &q.predicate,
         };
-        if self.scratches.len() < want {
-            self.scratches.resize_with(want, || RootScratch::new(0));
-        }
-        for scratch in &mut self.scratches {
-            scratch.ensure_vertices(self.graph.num_vertices());
-        }
         let t1 = Instant::now();
-        let (cycles, stats) = match self.query.collect {
+        let (cycles, stats) = match q.collect {
             CollectMode::Collect => {
                 let sink = CollectingSink::new();
-                let stats = run_delta(
-                    &self.query,
-                    &self.engine,
+                let stats = delta::run(
+                    &plan,
                     &self.graph,
-                    &mut self.scratches,
-                    &sink,
                     delta.roots.clone(),
-                    floor,
-                    granularity,
-                    sharded,
+                    &sink,
+                    pool,
+                    &mut self.scratches,
                 );
                 let resolved = sink
                     .into_cycles()
@@ -626,16 +608,13 @@ impl StreamingEngine {
             }
             CollectMode::Count => {
                 let sink = CountingSink::new();
-                let stats = run_delta(
-                    &self.query,
-                    &self.engine,
+                let stats = delta::run(
+                    &plan,
                     &self.graph,
-                    &mut self.scratches,
-                    &sink,
                     delta.roots.clone(),
-                    floor,
-                    granularity,
-                    sharded,
+                    &sink,
+                    pool,
+                    &mut self.scratches,
                 );
                 (Vec::new(), stats)
             }
@@ -693,146 +672,50 @@ impl StreamingEngine {
     pub fn snapshot(&self) -> TemporalGraph {
         self.graph.snapshot()
     }
-
-    /// The granularity one batch's delta run effectively executes at: the
-    /// query's requested granularity, degraded to sequential when there is
-    /// nothing to parallelise over. Coarse-grained degrades on single-root
-    /// batches (one task per root cannot occupy a second worker); the
-    /// fine-grained driver splits *within* a root, so a single hot root is
-    /// exactly where it must stay parallel.
-    fn effective_granularity(&self, batch_roots: usize) -> Granularity {
-        if self.engine.threads() <= 1 || batch_roots == 0 {
-            return Granularity::Sequential;
-        }
-        match self.query.granularity {
-            Granularity::CoarseGrained if batch_roots <= 1 => Granularity::Sequential,
-            requested => requested,
-        }
-    }
 }
 
-/// Dispatches one delta run (free function so the engine can lend out its
-/// graph immutably and its scratches mutably at the same time). Sequential
-/// runs reuse `scratches[0]` — unless `sharded` is set, in which case the
-/// per-root sequential searches are spread shard-parallel across the pool
-/// (one task per shard, roots owned by their closing edge's source vertex).
-/// Parallel runs — coarse (one task per root) or fine (copy-on-steal
-/// rooted searches) — hand each pool worker its own persistent scratch. No allocation on the hot path either way.
-#[allow(clippy::too_many_arguments)] // private dispatcher over engine fields
-fn run_delta<S: crate::cycle::CycleSink>(
-    query: &StreamingQuery,
-    engine: &Engine,
+/// Picks the driver one batch's delta pass runs on (see
+/// [`DeltaDriver::for_batch`]), grows `scratches` to what that driver needs
+/// over the graph's vertices, and returns the driver with the pool it runs
+/// on (none for the sequential sweep, which never starts the pool).
+fn batch_driver<'e>(
+    engine: &'e Engine,
+    requested: Granularity,
     graph: &SlidingWindowGraph,
-    scratches: &mut [RootScratch],
-    sink: &S,
-    roots: std::ops::Range<pce_graph::EdgeId>,
-    floor: Timestamp,
-    granularity: Granularity,
-    sharded: Option<ShardSpec>,
-) -> RunStats {
-    let predicate = &query.predicate;
-    match query.kind {
-        CycleKind::Simple => {
-            let opts = SimpleCycleOptions {
-                window_delta: Some(query.window_delta),
-                max_len: query.max_len,
-                include_self_loops: query.include_self_loops,
-            };
-            match granularity {
-                Granularity::Sequential => match sharded {
-                    Some(spec) => delta_simple_sharded_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        spec,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    None => delta_simple_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        &mut scratches[0],
-                    ),
-                },
-                Granularity::CoarseGrained => delta_simple_parallel_with_scratch(
-                    graph,
-                    roots,
-                    floor,
-                    &opts,
-                    predicate,
-                    sink,
-                    engine.pool(),
-                    scratches,
-                ),
-                Granularity::FineGrained => delta_simple_fine_with_scratch(
-                    graph,
-                    roots,
-                    floor,
-                    &opts,
-                    predicate,
-                    sink,
-                    engine.pool(),
-                    scratches,
-                ),
-            }
-        }
-        CycleKind::Temporal => {
-            let opts = TemporalCycleOptions {
-                window_delta: query.window_delta,
-                max_len: query.max_len,
-            };
-            match granularity {
-                Granularity::Sequential => match sharded {
-                    Some(spec) => delta_temporal_sharded_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        spec,
-                        &opts,
-                        predicate,
-                        sink,
-                        engine.pool(),
-                        scratches,
-                    ),
-                    None => delta_temporal_with_scratch(
-                        graph,
-                        roots,
-                        floor,
-                        &opts,
-                        predicate,
-                        sink,
-                        &mut scratches[0],
-                    ),
-                },
-                Granularity::CoarseGrained => delta_temporal_parallel_with_scratch(
-                    graph,
-                    roots,
-                    floor,
-                    &opts,
-                    predicate,
-                    sink,
-                    engine.pool(),
-                    scratches,
-                ),
-                Granularity::FineGrained => delta_temporal_fine_with_scratch(
-                    graph,
-                    roots,
-                    floor,
-                    &opts,
-                    predicate,
-                    sink,
-                    engine.pool(),
-                    scratches,
-                ),
-            }
-        }
+    roots: usize,
+    scratches: &mut Vec<RootScratch>,
+) -> (DeltaDriver, Option<&'e ThreadPool>) {
+    let threads = engine.threads();
+    let driver = DeltaDriver::for_batch(requested, threads, graph.shard_spec(), roots);
+    let want = driver.scratches(threads);
+    if scratches.len() < want {
+        scratches.resize_with(want, || RootScratch::new(0));
+    }
+    for scratch in scratches.iter_mut() {
+        scratch.ensure_vertices(graph.num_vertices());
+    }
+    let pool = (driver != DeltaDriver::Sequential).then(|| engine.pool().as_ref());
+    (driver, pool)
+}
+
+/// The cycle definition of a delta pass for a query of `kind` at window
+/// `delta`.
+fn delta_kind(
+    kind: CycleKind,
+    delta: Timestamp,
+    max_len: Option<usize>,
+    include_self_loops: bool,
+) -> DeltaKind {
+    match kind {
+        CycleKind::Simple => DeltaKind::Simple(SimpleCycleOptions {
+            window_delta: Some(delta),
+            max_len,
+            include_self_loops,
+        }),
+        CycleKind::Temporal => DeltaKind::Temporal(TemporalCycleOptions {
+            window_delta: delta,
+            max_len,
+        }),
     }
 }
 
@@ -936,22 +819,6 @@ impl SharedPass {
             pass.predicate = pass.predicate.union(&q.predicate);
         }
         Some(pass)
-    }
-
-    /// The pass as a standing query, for the shared [`run_delta`] dispatcher.
-    /// The `shards` field is a placeholder: the multi engine's shard layout
-    /// lives on the engine itself, and is handed to [`run_delta`] separately.
-    fn as_query(&self, granularity: Granularity) -> StreamingQuery {
-        StreamingQuery {
-            kind: self.kind,
-            granularity,
-            window_delta: self.delta,
-            max_len: self.max_len,
-            include_self_loops: self.include_self_loops,
-            collect: CollectMode::Collect,
-            predicate: self.predicate.clone(),
-            shards: ShardSpec::single(),
-        }
     }
 }
 
@@ -1742,7 +1609,7 @@ impl CycleSink for BufferingFanOutSink<'_> {
 /// (atomic counts, mutex-guarded cycle lists), and each task adds its busy
 /// time to its cohort's counters so per-cohort dispatch cost stays visible.
 fn dispatch_deferred(
-    pool: &pce_sched::ThreadPool,
+    pool: &ThreadPool,
     index: &SubscriptionIndex,
     candidates: &[BufferedCandidate],
     tally: &FanOutTally,
@@ -1865,7 +1732,8 @@ pub struct MultiBatchReport {
     /// How the batch's fan-out executed and what it cost: strategy, checks,
     /// parallel-dispatch engagement and per-cohort accounting.
     pub fan_out: FanOutReport,
-    /// One report per active subscription, in subscription order. Each
+    /// One report per active subscription, in subscription order — which is
+    /// ascending id order, since ids are assigned monotonically. Each
     /// carries its [`BatchReport::query`] id, its own `cycles_found` /
     /// `cycles`, and the shared ingest/window figures.
     pub reports: Vec<BatchReport>,
@@ -1874,7 +1742,8 @@ pub struct MultiBatchReport {
 impl MultiBatchReport {
     /// The per-query report for `id`, if that query is subscribed.
     pub fn report(&self, id: QueryId) -> Option<&BatchReport> {
-        self.reports.iter().find(|r| r.query == id)
+        let slot = self.reports.binary_search_by_key(&id, |r| r.query).ok()?;
+        Some(&self.reports[slot])
     }
 
     /// Total cycles reported across all subscriptions this batch (a cycle
@@ -2269,15 +2138,18 @@ impl MultiStreamingEngine {
     /// subscribed (each batch's shared ingest + enumeration time counts once
     /// per query — that is the latency its consumer experiences).
     pub fn latency(&self, id: QueryId) -> Option<&LatencyStats> {
-        self.subs.iter().find(|s| s.id == id).map(|s| &s.latency)
+        self.sub(id).map(|s| &s.latency)
     }
 
     /// Total cycles reported to subscription `id` since it subscribed.
     pub fn total_cycles(&self, id: QueryId) -> Option<u64> {
-        self.subs
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.total_cycles)
+        self.sub(id).map(|s| s.total_cycles)
+    }
+
+    /// The subscription `id` (`subs` is sorted by id).
+    fn sub(&self, id: QueryId) -> Option<&Subscription> {
+        let slot = self.subs.binary_search_by_key(&id, |s| s.id).ok()?;
+        Some(&self.subs[slot])
     }
 
     /// The shared sliding-window graph.
@@ -2330,43 +2202,29 @@ impl MultiStreamingEngine {
                     // on the fan-out re-checks alone.
                     pass.predicate = CyclePredicate::pass_all();
                 }
-                let granularity = self.effective_granularity(delta.roots.len());
-                // Sequential-granularity engines with a sharded graph run
-                // the shared pass shard-parallel (see `StreamingEngine::
-                // ingest` — the same engagement rule applies here, keyed on
-                // the engine-wide granularity).
-                let sharded = (self.granularity == Granularity::Sequential
-                    && self.engine.threads() > 1
-                    && !self.graph.shard_spec().is_single()
-                    && !delta.roots.is_empty())
-                .then(|| self.graph.shard_spec());
-                let want = if sharded.is_some() {
-                    self.engine.threads()
-                } else if granularity == Granularity::Sequential {
-                    1
-                } else {
-                    self.engine.threads()
+                let (driver, pool) = batch_driver(
+                    &self.engine,
+                    self.granularity,
+                    &self.graph,
+                    delta.roots.len(),
+                    &mut self.scratches,
+                );
+                let plan = DeltaPlan {
+                    kind: delta_kind(pass.kind, pass.delta, pass.max_len, pass.include_self_loops),
+                    driver,
+                    floor: Timestamp::MIN,
+                    predicate: &pass.predicate,
                 };
-                if self.scratches.len() < want {
-                    self.scratches.resize_with(want, || RootScratch::new(0));
-                }
-                for scratch in &mut self.scratches {
-                    scratch.ensure_vertices(self.graph.num_vertices());
-                }
-                let pass_query = pass.as_query(granularity);
                 match self.strategy {
                     FanOutStrategy::Naive => {
                         let sink = FanOutSink::new(&self.graph, &self.subs);
-                        let stats = run_delta(
-                            &pass_query,
-                            &self.engine,
+                        let stats = delta::run(
+                            &plan,
                             &self.graph,
-                            &mut self.scratches,
-                            &sink,
                             delta.roots.clone(),
-                            Timestamp::MIN,
-                            granularity,
-                            sharded,
+                            &sink,
+                            pool,
+                            &mut self.scratches,
                         );
                         let candidates = sink.candidates.load(Ordering::Relaxed);
                         // Resolve ids to concrete edges *now*: dense ids are
@@ -2401,16 +2259,13 @@ impl MultiStreamingEngine {
                             self.engine.threads() > 1 && self.subs.len() >= self.fan_out_threshold;
                         let (stats, tally, fan_out_secs, parallel) = if deferred {
                             let sink = BufferingFanOutSink::new(&self.graph, self.engine.threads());
-                            let stats = run_delta(
-                                &pass_query,
-                                &self.engine,
+                            let stats = delta::run(
+                                &plan,
                                 &self.graph,
-                                &mut self.scratches,
-                                &sink,
                                 delta.roots.clone(),
-                                Timestamp::MIN,
-                                granularity,
-                                sharded,
+                                &sink,
+                                pool,
+                                &mut self.scratches,
                             );
                             let buffered = sink.into_candidates();
                             let t_fan = Instant::now();
@@ -2429,16 +2284,13 @@ impl MultiStreamingEngine {
                                 &self.index,
                                 self.engine.threads(),
                             );
-                            let stats = run_delta(
-                                &pass_query,
-                                &self.engine,
+                            let stats = delta::run(
+                                &plan,
                                 &self.graph,
-                                &mut self.scratches,
-                                &sink,
                                 delta.roots.clone(),
-                                Timestamp::MIN,
-                                granularity,
-                                sharded,
+                                &sink,
+                                pool,
+                                &mut self.scratches,
                             );
                             (stats, sink.into_tally(), 0.0, false)
                         };
@@ -2566,18 +2418,6 @@ impl MultiStreamingEngine {
         };
         self.batches += 1;
         Ok(report)
-    }
-
-    /// Mirrors [`StreamingEngine::effective_granularity`] for the shared
-    /// pass.
-    fn effective_granularity(&self, batch_roots: usize) -> Granularity {
-        if self.engine.threads() <= 1 || batch_roots == 0 {
-            return Granularity::Sequential;
-        }
-        match self.granularity {
-            Granularity::CoarseGrained if batch_roots <= 1 => Granularity::Sequential,
-            requested => requested,
-        }
     }
 }
 
@@ -3123,6 +2963,28 @@ mod tests {
         assert_eq!(r.report(late).unwrap().cycles_found, 1);
         assert_eq!(engine.total_cycles(early), None);
         assert_eq!(engine.latency(early), None);
+
+        // Lookups binary-search the id-ordered subscriptions and reports: a
+        // restored id past the newest resolves, ids never issued do not.
+        let restored = engine
+            .restore_subscription(SubscriptionSnapshot {
+                id: QueryId(20),
+                query: StreamingQuery::simple(1_000),
+                total_cycles: 7,
+            })
+            .unwrap();
+        let r = engine.ingest(&[e(7, 8, 8), e(8, 7, 9)]).unwrap();
+        assert_eq!(r.report(late).unwrap().query, late);
+        assert_eq!(r.report(restored).unwrap().query, restored);
+        assert_eq!(r.report(restored).unwrap().cycles_found, 1);
+        assert_eq!(engine.total_cycles(late), Some(3));
+        assert_eq!(engine.total_cycles(restored), Some(8));
+        assert_eq!(engine.latency(restored).unwrap().count(), 1);
+        for never in [QueryId(19), QueryId(21)] {
+            assert!(r.report(never).is_none());
+            assert_eq!(engine.total_cycles(never), None);
+            assert_eq!(engine.latency(never), None);
+        }
     }
 
     #[test]
