@@ -12,9 +12,7 @@
 //! Usage: `ablations [--threads N] [--scale X] [--json PATH]`
 
 use pce_bench::{build_scaled, resolve_threads, run_algo, Algo};
-use pce_core::seq::temporal::temporal_simple;
 use pce_core::Engine;
-use pce_core::{CountingSink, CycleSink, TemporalCycleOptions};
 use pce_graph::TimeWindow;
 use pce_workloads::{dataset, DatasetId, ExperimentConfig, MeasuredRow, ResultTable};
 use std::time::Instant;
@@ -74,12 +72,10 @@ fn main() {
     ));
 
     // 1. Cycle-union preprocessing on/off (sequential, temporal cycles).
-    let sink = CountingSink::new();
-    let with_union = temporal_simple(graph, &TemporalCycleOptions::with_window(delta), &sink);
+    let with_union = run_algo(Algo::SeqTemporal, graph, delta, &engine);
     let (count_no_union, secs_no_union) = temporal_without_union(graph, delta);
     assert_eq!(
-        sink.count(),
-        count_no_union,
+        with_union.cycles, count_no_union,
         "preprocessing must not change results"
     );
     let mut row = MeasuredRow::new("union_preprocessing");

@@ -26,7 +26,7 @@ pub enum Algo {
     SeqJohnson,
     /// Sequential Read-Tarjan.
     SeqReadTarjan,
-    /// Sequential temporal enumeration (scalable preprocessing).
+    /// Sequential temporal enumeration (the delta search over every edge).
     SeqTemporal,
     /// 2SCENT-style serial baseline (temporal).
     TwoScent,
@@ -34,15 +34,16 @@ pub enum Algo {
     CoarseJohnson,
     /// Coarse-grained parallel Read-Tarjan.
     CoarseReadTarjan,
-    /// Coarse-grained parallel temporal enumeration.
+    /// Coarse-grained parallel temporal enumeration (one task per root).
     CoarseTemporal,
     /// Fine-grained parallel Johnson (copy-on-steal).
     FineJohnson,
     /// Fine-grained parallel Read-Tarjan.
     FineReadTarjan,
-    /// Fine-grained parallel temporal, Johnson-style tasks.
+    /// Fine-grained parallel temporal, Johnson-style search (copy-on-steal).
     FineTemporalJohnson,
-    /// Fine-grained parallel temporal, Read-Tarjan-style tasks.
+    /// Fine-grained parallel temporal, Read-Tarjan-style search (completion
+    /// probe before each branch).
     FineTemporalReadTarjan,
 }
 

@@ -123,8 +123,8 @@ impl BundledSearch<'_> {
 }
 
 /// Counts all temporal cycles within the window using path bundling. Returns
-/// the count together with run statistics; the count equals what
-/// [`crate::seq::temporal::temporal_simple`] would report, but parallel
+/// the count together with run statistics; the count equals what a
+/// temporal [`Engine`](crate::Engine) query would report, but parallel
 /// temporal edges between the same endpoints are handled by a counting DP
 /// instead of explicit branching.
 pub fn bundled_temporal_count(
@@ -177,7 +177,7 @@ pub fn bundled_temporal_count(
 mod tests {
     use super::*;
     use crate::cycle::{CountingSink, CycleSink};
-    use crate::seq::temporal::temporal_simple;
+    use crate::seq::temporal::two_scent_baseline;
     use pce_graph::generators::{self, RandomTemporalConfig, TransactionRingConfig};
     use pce_graph::GraphBuilder;
 
@@ -214,7 +214,7 @@ mod tests {
         let opts = TemporalCycleOptions::with_window(100);
         let (count, _) = bundled_temporal_count(&g, &opts);
         let sink = CountingSink::new();
-        temporal_simple(&g, &opts, &sink);
+        two_scent_baseline(&g, &opts, &sink);
         assert_eq!(count, sink.count());
         // (1,2,3),(1,2,5),(1,2,6),(1,4,5),(1,4,6) = 5 assignments.
         assert_eq!(count, 5);
@@ -233,7 +233,7 @@ mod tests {
                 let opts = TemporalCycleOptions::with_window(delta);
                 let (count, _) = bundled_temporal_count(&g, &opts);
                 let sink = CountingSink::new();
-                temporal_simple(&g, &opts, &sink);
+                two_scent_baseline(&g, &opts, &sink);
                 assert_eq!(count, sink.count(), "seed {seed} delta {delta}");
             }
         }
@@ -253,7 +253,7 @@ mod tests {
         let opts = TemporalCycleOptions::with_window(1_500);
         let (count, _) = bundled_temporal_count(&g, &opts);
         let sink = CountingSink::new();
-        temporal_simple(&g, &opts, &sink);
+        two_scent_baseline(&g, &opts, &sink);
         assert_eq!(count, sink.count());
     }
 

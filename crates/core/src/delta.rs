@@ -7,7 +7,10 @@
 //! edge of a cycle is unique and belongs to exactly one ingest batch,
 //! enumerating only the roots of the newest batch reports every cycle exactly
 //! once over the lifetime of a stream: no duplicates across batches, nothing
-//! missed.
+//! missed. With every edge of a graph as a root, the same pass is a one-shot
+//! enumeration: [`Engine`](crate::Engine) answers every temporal query that
+//! way, at each granularity, for Johnson and (with a completion probe — see
+//! [`run`]) Read-Tarjan alike.
 //!
 //! The search rooted at `e = u → w` (timestamp `t0`) therefore runs
 //! *backwards in stream order*: it enumerates simple paths `w → … → u` over
@@ -122,7 +125,7 @@ use crate::metrics::{RunStats, ShardStats, WorkMetrics};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
 use crate::seq::RootScratch;
 use crate::union::{UnionQuery, UnionView};
-use crate::util::FxHashSet;
+use crate::util::{FxHashSet, VertexMarks};
 use crate::{Algorithm, Granularity};
 use parking_lot::Mutex;
 use pce_graph::reach::CycleUnionWorkspace;
@@ -250,6 +253,11 @@ pub struct DeltaPlan<'a> {
     /// docs](self#predicate-pushdown)). [`CyclePredicate::pass_all`] for
     /// unfiltered enumeration.
     pub predicate: &'a CyclePredicate,
+    /// [`Algorithm::ReadTarjan`] runs Read–Tarjan's completion probe before
+    /// a branch is pushed (see [`run`]); any other value runs the plain
+    /// Johnson-style search. The run's stats carry the algorithm that ran.
+    /// Streams pass [`Algorithm::Johnson`].
+    pub algorithm: Algorithm,
 }
 
 /// Runs `plan` over the root range `roots` (typically the id range of the
@@ -262,6 +270,16 @@ pub struct DeltaPlan<'a> {
 /// [`RootScratch::ensure_vertices`]); the sequential driver uses the first,
 /// the others one per pool worker. `pool` is ignored by
 /// [`DeltaDriver::Sequential`] and required by every other driver.
+///
+/// Under [`Algorithm::ReadTarjan`] each branch that could continue the path
+/// first runs a completion probe: a depth-first walk, over the edges the
+/// search itself may take, for a path from the branch's vertex to the
+/// root's tail that avoids the current path. A branch without one is not
+/// pushed, so no frame — owned or stolen — is ever a dead end; the probe's
+/// edges count as edge visits, which is the extra work of the paper's
+/// "a path extension must exist" discipline. The probe ignores the length
+/// bound and the pushed-down predicate, so it can only let a branch
+/// through that the search then prunes, never cut a cycle.
 ///
 /// # Panics
 ///
@@ -285,6 +303,7 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
     );
     let metrics = WorkMetrics::new(threads);
     let halting = HaltingSink::new(sink);
+    let probe = plan.algorithm == Algorithm::ReadTarjan;
     let pass = Pass {
         graph,
         sink: &halting,
@@ -293,6 +312,7 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
         floor: plan.floor,
         predicate: plan.predicate,
         push: Pushdown::of(plan.predicate),
+        probe,
     };
     let mut shards = Vec::new();
     match (plan.driver, pool) {
@@ -311,7 +331,14 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
         shards,
         ..RunStats::default()
     }
-    .tagged(Algorithm::Johnson, plan.driver.granularity())
+    .tagged(
+        if probe {
+            Algorithm::ReadTarjan
+        } else {
+            Algorithm::Johnson
+        },
+        plan.driver.granularity(),
+    )
 }
 
 /// A sequential simple-cycle pass over `roots` on caller-owned scratch:
@@ -330,6 +357,7 @@ pub fn delta_simple_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
         driver: DeltaDriver::Sequential,
         floor,
         predicate,
+        algorithm: Algorithm::Johnson,
     };
     run(
         &plan,
@@ -357,6 +385,7 @@ pub fn delta_temporal_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
         driver: DeltaDriver::Sequential,
         floor,
         predicate,
+        algorithm: Algorithm::Johnson,
     };
     run(
         &plan,
@@ -597,12 +626,21 @@ struct SearchState<'g> {
     base: usize,
     path: Vec<VertexId>,
     path_edges: Vec<EdgeId>,
-    on_path: FxHashSet<VertexId>,
+    on_path: VertexMarks,
     frames: Vec<Frame<'g>>,
     /// Unclaimed entries over all frames.
     unclaimed: usize,
     /// Scratch for the close-time whole-cycle re-check.
     edge_buf: Vec<TemporalEdge>,
+    /// Edge visits and recursive calls since the last
+    /// [`flush`](Pass::flush): plain counters on the hot path, added to the
+    /// run's [`WorkMetrics`] once per drained search.
+    edge_visits: u64,
+    calls: u64,
+    /// The completion probe's depth-first stack and its visited
+    /// `(vertex, arrival)` pairs, reused across probes.
+    probe_stack: Vec<(VertexId, Timestamp)>,
+    probe_seen: FxHashSet<(VertexId, Timestamp)>,
 }
 
 impl SearchState<'_> {
@@ -694,8 +732,10 @@ impl<'g> FineSearch<'g> {
         into.path_edges.clear();
         into.path_edges
             .extend_from_slice(&st.path_edges[..prefix - 1]);
-        into.on_path.clear();
-        into.on_path.extend(into.path.iter().copied());
+        into.on_path.reset(st.on_path.universe());
+        for &v in &into.path {
+            into.on_path.insert(v);
+        }
         into.on_path.insert(self.bounds.target);
         into.frames.clear();
         into.frames.push(stolen);
@@ -738,6 +778,8 @@ struct Pass<'a, G: ?Sized, S> {
     predicate: &'a CyclePredicate,
     /// Cached pushdown flags (see [`Pushdown`]).
     push: Pushdown,
+    /// Run Read–Tarjan's completion probe before pushing a branch.
+    probe: bool,
 }
 
 impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
@@ -803,7 +845,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
             t_last: e.ts.saturating_sub(1),
             root_amount: e.amount,
         };
-        self.metrics.recursive_call(worker);
+        st.calls += 1;
         // Seeding the arrival one below the window start admits exactly
         // temporal first hops with ts >= start.
         let entries = self.graph.out_edges_in_window(
@@ -814,7 +856,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
         st.path.clear();
         st.path.push(e.dst);
         st.path_edges.clear();
-        st.on_path.clear();
+        st.on_path.reset(self.graph.num_vertices());
         st.on_path.insert(e.src);
         st.on_path.insert(e.dst);
         st.frames.clear();
@@ -840,7 +882,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
         (sum, last_amount): (Amount, Amount),
         worker: usize,
     ) {
-        self.metrics.edge_visit(worker);
+        st.edge_visits += 1;
         if !self.kind.is_temporal() && entry.edge >= b.root {
             // Temporal admissibility is already timestamp-bounded by
             // `t_last < t0` (ids refine timestamp order).
@@ -881,14 +923,15 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
             self.metrics.vertex_prune(worker);
             return;
         }
-        if st.on_path.contains(&w)
+        if st.on_path.contains(w)
             || !union.in_union(w)
             || (self.kind.is_temporal() && !union.can_close_after(w, entry.ts))
             || !self.kind.len_ok(st.path_edges.len() + 3)
+            || (self.probe && !self.completes(b, union, st, w, entry.ts))
         {
             return;
         }
-        self.metrics.recursive_call(worker);
+        st.calls += 1;
         let entries = self
             .graph
             .out_edges_in_window(w, b.window_after(self.kind, entry.ts));
@@ -901,6 +944,62 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
             last_amount: amount,
         });
         st.unclaimed += entries.len();
+    }
+
+    /// Read–Tarjan's completion probe (see [`run`]): can `start`, reached
+    /// at `arrival`, still reach the root's tail over admissible edges
+    /// without touching the path or `start` again? A depth-first walk that
+    /// visits each `(vertex, arrival)` pair once — each vertex once in a
+    /// simple search, whose windows ignore arrival times.
+    fn completes<U: UnionQuery + ?Sized>(
+        &self,
+        b: &RootBounds,
+        union: &U,
+        st: &mut SearchState<'a>,
+        start: VertexId,
+        arrival: Timestamp,
+    ) -> bool {
+        let temporal = self.kind.is_temporal();
+        let key = |v, t| (v, if temporal { t } else { Timestamp::MIN });
+        st.probe_stack.clear();
+        st.probe_seen.clear();
+        st.probe_stack.push((start, arrival));
+        st.probe_seen.insert(key(start, arrival));
+        while let Some((v, t)) = st.probe_stack.pop() {
+            for entry in self
+                .graph
+                .out_edges_in_window(v, b.window_after(self.kind, t))
+            {
+                st.edge_visits += 1;
+                if !temporal && entry.edge >= b.root {
+                    continue;
+                }
+                let x = entry.neighbor;
+                if x == b.target {
+                    return true;
+                }
+                if x == start
+                    || st.on_path.contains(x)
+                    || !union.in_union(x)
+                    || (temporal && !union.can_close_after(x, entry.ts))
+                {
+                    continue;
+                }
+                if st.probe_seen.insert(key(x, entry.ts)) {
+                    st.probe_stack.push((x, entry.ts));
+                }
+            }
+        }
+        false
+    }
+
+    /// Adds the edge visits and calls `st` counted since its last flush to
+    /// the run's metrics, under `worker`.
+    fn flush(&self, st: &mut SearchState<'a>, worker: usize) {
+        self.metrics
+            .edge_visits(worker, std::mem::take(&mut st.edge_visits));
+        self.metrics
+            .recursive_calls(worker, std::mem::take(&mut st.calls));
     }
 
     /// The owner's claim-or-backtrack step, whichever driver owns the
@@ -933,7 +1032,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
             }
             let v = st.path.pop().expect("a frame above the base owns a vertex");
             st.path_edges.pop();
-            st.on_path.remove(&v);
+            st.on_path.remove(v);
         }
         true
     }
@@ -956,6 +1055,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
             };
             if let Some(b) = self.prepare_root(root, scratch, &mut st, worker) {
                 while !self.sink.stopped() && self.step(&b, &scratch.union, &mut st, worker) {}
+                self.flush(&mut st, worker);
             }
         }
         st.give_back(scratch);
@@ -1065,6 +1165,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
             floor: self.floor,
             predicate: self.predicate,
             push: self.push,
+            probe: self.probe,
         }
     }
 
@@ -1095,6 +1196,7 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
                 search.stealable.store(stealable, Ordering::Relaxed);
             }
         }
+        self.flush(&mut guard, worker);
     }
 
     /// Registers `state` as a search under `bounds` and `union`, runs it,
@@ -1184,7 +1286,6 @@ mod tests {
     use super::*;
     use crate::cycle::{CollectingSink, CountingSink, Cycle, FirstKSink};
     use crate::seq::johnson::johnson_simple;
-    use crate::seq::temporal::temporal_simple;
     use pce_graph::generators::{self, RandomTemporalConfig};
     use pce_graph::{EdgePredicate, GraphBuilder, LabelFilter, TemporalGraph};
 
@@ -1198,6 +1299,7 @@ mod tests {
             driver,
             floor: Timestamp::MIN,
             predicate,
+            algorithm: Algorithm::Johnson,
         }
     }
 
@@ -1249,8 +1351,9 @@ mod tests {
     }
 
     /// Every driver must enumerate exactly the brute-force oracle's cycle
-    /// set — which rooting every edge as the *minimum* (the one-shot path)
-    /// also matches. The oracle shares no code with the delta search.
+    /// set, which roots every cycle at its *minimum* edge (and, for simple
+    /// cycles, so does the one-shot Johnson search). The oracle shares no
+    /// code with the delta search.
     #[test]
     fn max_rooted_matches_min_rooted_simple() {
         let drivers = Drivers::new();
@@ -1296,9 +1399,6 @@ mod tests {
             for delta in [15, 40, 100] {
                 let opts = TemporalCycleOptions::with_window(delta);
                 let oracle = crate::testing::oracle_temporal(&g, delta);
-                let fwd = CollectingSink::new();
-                temporal_simple(&g, &opts, &fwd);
-                assert_eq!(fwd.canonical_cycles(), oracle, "seed {seed} delta {delta}");
                 let pass_all = CyclePredicate::pass_all();
                 for (driver, pool) in drivers.iter() {
                     let bwd = CollectingSink::new();
@@ -1311,6 +1411,64 @@ mod tests {
                         "seed {seed} delta {delta} {run}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Read–Tarjan's completion probe, simple and temporal, on every
+    /// driver: the same cycles as the plain search, fewer recursive calls
+    /// (a frame is pushed only when the probe found a way to the target)
+    /// and more edge visits (the probe's own), with counters that do not
+    /// depend on the driver.
+    #[test]
+    fn read_tarjan_probe_keeps_cycles_and_prunes_dead_ends() {
+        let drivers = Drivers::new();
+        let pass_all = CyclePredicate::pass_all();
+        let g = generators::power_law_temporal(RandomTemporalConfig {
+            num_vertices: 20,
+            num_edges: 110,
+            time_span: 70,
+            seed: 1_302,
+        });
+        for kind in [
+            DeltaKind::Simple(SimpleCycleOptions::with_window(30)),
+            DeltaKind::Temporal(TemporalCycleOptions::with_window(40)),
+        ] {
+            let rt_plan = |driver| DeltaPlan {
+                algorithm: Algorithm::ReadTarjan,
+                ..plan(kind, driver, &pass_all)
+            };
+            let seq_pool = &drivers.pools[0];
+            let johnson = CollectingSink::new();
+            let plan_j = plan(kind, DeltaDriver::Sequential, &pass_all);
+            let j = run_on(&g, &plan_j, all_roots(&g), &johnson, seq_pool).work;
+            let seq = CollectingSink::new();
+            let seq_stats = run_on(
+                &g,
+                &rt_plan(DeltaDriver::Sequential),
+                all_roots(&g),
+                &seq,
+                seq_pool,
+            );
+            let rt = &seq_stats.work;
+            assert!(!johnson.canonical_cycles().is_empty(), "{kind:?}");
+            assert_eq!(
+                johnson.canonical_cycles(),
+                seq.canonical_cycles(),
+                "{kind:?}"
+            );
+            assert!(
+                rt.total_recursive_calls() < j.total_recursive_calls(),
+                "{kind:?}"
+            );
+            assert!(rt.total_edge_visits() > j.total_edge_visits(), "{kind:?}");
+            for (driver, pool) in drivers.iter() {
+                let sink = CollectingSink::new();
+                let stats = run_on(&g, &rt_plan(driver), all_roots(&g), &sink, pool);
+                let run = format!("{kind:?} {}", label(driver, pool));
+                assert_eq!(seq.canonical_cycles(), sink.canonical_cycles(), "{run}");
+                assert_same_work(&seq_stats, &stats);
+                assert_eq!(stats.algorithm, Some(Algorithm::ReadTarjan), "{run}");
             }
         }
     }
@@ -1702,54 +1860,11 @@ mod tests {
         }
     }
 
-    /// A counting sink that hands the core to thieves: until a second thread
-    /// has pushed a cycle, each push naps briefly (within a time budget).
-    /// The pushing owner holds its search across the nap, but it yields the
-    /// core, so an idle worker is scheduled and queues for a split even on a
-    /// loaded test executor; once a thief pushes, the naps stop. A barrier
-    /// cannot force this interleaving: the owner holds its search's lock
-    /// while it pushes, so a thief can split only between pushes.
-    struct SpreadGate {
-        count: AtomicU64,
-        first: Mutex<Option<std::thread::ThreadId>>,
-        spread: AtomicBool,
-        deadline: Instant,
-    }
-
-    impl SpreadGate {
-        fn new() -> Self {
-            Self {
-                count: AtomicU64::new(0),
-                first: Mutex::new(None),
-                spread: AtomicBool::new(false),
-                deadline: Instant::now() + std::time::Duration::from_secs(20),
-            }
-        }
-    }
-
-    impl CycleSink for SpreadGate {
-        fn push(&self, _: &[VertexId], _: &[EdgeId]) -> std::ops::ControlFlow<()> {
-            self.count.fetch_add(1, Ordering::Relaxed);
-            if !self.spread.load(Ordering::Relaxed) {
-                let me = std::thread::current().id();
-                if *self.first.lock().get_or_insert(me) != me {
-                    self.spread.store(true, Ordering::Relaxed);
-                } else if Instant::now() < self.deadline {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-            }
-            std::ops::ControlFlow::Continue(())
-        }
-
-        fn count(&self) -> u64 {
-            self.count.load(Ordering::Relaxed)
-        }
-    }
-
     /// The delta mirror of `fine_johnson::fig4a_work_is_spread_across_workers`:
     /// every cycle of the hub-burst gadget is closed by one root edge, so the
     /// coarse driver pins to a single worker while the fine driver must spread
-    /// the search across workers via steals. The [`SpreadGate`] sink makes a
+    /// the search across workers via steals. The
+    /// [`SpreadGate`](crate::testing::SpreadGate) sink makes a
     /// thief's arrival independent of how the executor schedules threads.
     #[test]
     fn hub_burst_work_is_spread_across_workers() {
@@ -1758,7 +1873,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let pass_all = CyclePredicate::pass_all();
         let simple = DeltaKind::Simple(SimpleCycleOptions::unconstrained());
-        let sink = SpreadGate::new();
+        let sink = crate::testing::SpreadGate::new();
         let stats = run_on(
             &g,
             &plan(simple, DeltaDriver::Fine, &pass_all),

@@ -29,22 +29,28 @@
 //! returns a `ControlFlow`), which is what makes [`Engine::first_k`] and the
 //! streaming [`Engine::stream`] safe on graphs whose cycle count is
 //! exponential in the graph size.
+//!
+//! Simple-cycle queries run the one-shot enumerators of [`crate::seq`] and
+//! [`crate::par`]. Temporal queries run one search for every algorithm and
+//! granularity: the [`crate::delta`] pass over every edge of the graph,
+//! which roots each temporal cycle at its maximum edge, on the sequential,
+//! coarse or fine (copy-on-steal) driver matching the query's
+//! [`Granularity`]. Read-Tarjan is that search with a completion probe (see
+//! [`Query::algorithm`]).
 
 use crate::cycle::{ChannelSink, CollectingSink, CountingSink, CycleSink, FirstKSink};
+use crate::delta::{self, DeltaDriver, DeltaKind, DeltaPlan};
 use crate::metrics::RunStats;
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
-use crate::par::coarse::{
-    coarse_johnson_simple, coarse_read_tarjan_simple, coarse_temporal, coarse_tiernan_simple,
-};
+use crate::par::coarse::{coarse_johnson_simple, coarse_read_tarjan_simple, coarse_tiernan_simple};
 use crate::par::fine_johnson::fine_johnson_simple;
 use crate::par::fine_read_tarjan::fine_read_tarjan_simple;
-use crate::par::fine_temporal::{fine_temporal_johnson, fine_temporal_read_tarjan};
 use crate::seq::johnson::johnson_simple;
 use crate::seq::read_tarjan::read_tarjan_simple;
-use crate::seq::temporal::temporal_simple;
 use crate::seq::tiernan::tiernan_simple;
+use crate::seq::RootScratch;
 use crate::Cycle;
-use pce_graph::{TemporalGraph, Timestamp};
+use pce_graph::{CyclePredicate, EdgeId, TemporalGraph, Timestamp};
 use pce_sched::ThreadPool;
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -229,14 +235,13 @@ impl Query {
 
     /// Selects the algorithm.
     ///
-    /// For **temporal** queries the algorithm choice only exists at
-    /// [`Granularity::FineGrained`], where it selects the task-spawning
-    /// discipline (§7 of the paper). At `Sequential` and `CoarseGrained`
-    /// granularity there is a single temporal search (a Johnson-style rooted
-    /// DFS); requesting `ReadTarjan` there is accepted and runs that one
-    /// implementation, which the result reports honestly as
-    /// `stats.algorithm == Some(Algorithm::Johnson)`. `Tiernan` has no
-    /// temporal variant at all and is rejected by [`Query::validate`].
+    /// For **temporal** queries every granularity runs one search — the
+    /// delta frame search rooted at each cycle's maximum edge (§7 of the
+    /// paper) — and the algorithm selects its discipline: `Johnson` pushes
+    /// every admissible branch, `ReadTarjan` first runs a completion probe
+    /// and pushes only branches that can still close a cycle (more edge
+    /// visits, no dead-end frames). `Tiernan` has no temporal variant and is
+    /// rejected by [`Query::validate`].
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
         self
@@ -588,27 +593,34 @@ impl Engine {
         }
     }
 
+    /// A temporal query is one delta pass with every edge as a root: each
+    /// temporal cycle is reported once, by the search rooted at its maximum
+    /// edge, on the driver matching the query's granularity.
     fn dispatch_temporal<S: CycleSink>(
         &self,
         query: &Query,
         graph: &TemporalGraph,
         sink: &S,
     ) -> RunStats {
-        let opts = query.temporal_options(graph);
-        // At Sequential/CoarseGrained granularity there is one temporal
-        // search regardless of the requested algorithm; the stats it returns
-        // are tagged Johnson (its style) so callers can see that a ReadTarjan
-        // request ran the same code — see `Query::algorithm`.
-        match query.granularity {
-            Granularity::Sequential => temporal_simple(graph, &opts, sink),
-            Granularity::CoarseGrained => coarse_temporal(graph, &opts, sink, self.pool()),
-            Granularity::FineGrained => match query.algorithm {
-                Algorithm::ReadTarjan => fine_temporal_read_tarjan(graph, &opts, sink, self.pool()),
-                Algorithm::Johnson => fine_temporal_johnson(graph, &opts, sink, self.pool()),
-                // Rejected by validate().
-                Algorithm::Tiernan => unreachable!("validated"),
-            },
-        }
+        let driver = match query.granularity {
+            Granularity::Sequential => DeltaDriver::Sequential,
+            Granularity::CoarseGrained => DeltaDriver::Coarse,
+            Granularity::FineGrained => DeltaDriver::Fine,
+        };
+        let pool = (driver != DeltaDriver::Sequential).then(|| self.pool().as_ref());
+        let threads = pool.map_or(1, ThreadPool::num_threads);
+        let mut scratches: Vec<RootScratch> = (0..driver.scratches(threads))
+            .map(|_| RootScratch::new(graph.num_vertices()))
+            .collect();
+        let plan = DeltaPlan {
+            kind: DeltaKind::Temporal(query.temporal_options(graph)),
+            driver,
+            floor: Timestamp::MIN,
+            predicate: &CyclePredicate::pass_all(),
+            algorithm: query.algorithm,
+        };
+        let roots = 0..graph.num_edges() as EdgeId;
+        delta::run(&plan, graph, roots, sink, pool, &mut scratches)
     }
 }
 
@@ -667,7 +679,8 @@ impl Drop for CycleStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pce_graph::generators;
+    use crate::metrics::{WorkSnapshot, WorkerWork};
+    use pce_graph::generators::{self, RandomTemporalConfig, TransactionRingConfig};
 
     #[test]
     fn queries_validate_their_combinations() {
@@ -740,6 +753,150 @@ mod tests {
         let first = Arc::as_ptr(engine.pool());
         engine.run(&query, &graph).unwrap();
         assert_eq!(first, Arc::as_ptr(engine.pool()), "pool must be reused");
+    }
+
+    /// A temporal query at `granularity` running `algorithm`.
+    fn temporal(algorithm: Algorithm, granularity: Granularity, delta: Timestamp) -> Query {
+        Query::temporal()
+            .window(delta)
+            .algorithm(algorithm)
+            .granularity(granularity)
+    }
+
+    /// Every cycle of the hub burst is closed by its one last edge, so all
+    /// of the work hangs off a single root and another worker only gets any
+    /// by stealing a branch of that root's search; the
+    /// [`SpreadGate`](crate::testing::SpreadGate) sink lets a thief in
+    /// however the OS schedules the workers. State is copied only on a
+    /// steal.
+    #[test]
+    fn fine_temporal_single_hot_root_records_steals() {
+        let (width, depth) = (2, 11);
+        let g = generators::hub_burst(width, depth);
+        let expected = generators::hub_burst_cycle_count(width, depth);
+        let engine = Engine::with_threads(4);
+        for algorithm in [Algorithm::Johnson, Algorithm::ReadTarjan] {
+            let query = temporal(algorithm, Granularity::FineGrained, 1_000);
+            let sink = crate::testing::SpreadGate::new();
+            let stats = engine.run_with_sink(&query, &g, &sink).unwrap();
+            let work = &stats.work;
+            assert_eq!(sink.count(), expected, "{algorithm:?}");
+            assert_eq!(stats.algorithm, Some(algorithm));
+            assert!(work.total_steals() > 0, "{algorithm:?}: no steal recorded");
+            assert!(work.total_copies() <= work.total_steals() + work.total_roots());
+        }
+    }
+
+    /// The completion probe costs edge visits and saves nothing in cycles,
+    /// at every granularity; copies stay bounded by steals plus roots.
+    #[test]
+    fn read_tarjan_temporal_visits_more_edges_for_the_same_cycles() {
+        let g = generators::uniform_temporal(RandomTemporalConfig {
+            num_vertices: 30,
+            num_edges: 250,
+            time_span: 60,
+            seed: 33,
+        });
+        let engine = Engine::with_threads(2);
+        for granularity in [
+            Granularity::Sequential,
+            Granularity::CoarseGrained,
+            Granularity::FineGrained,
+        ] {
+            let run = |algorithm| {
+                let query = temporal(algorithm, granularity, 40).collect(CollectMode::Collect);
+                engine.run(&query, &g).unwrap()
+            };
+            let (johnson, read_tarjan) = (run(Algorithm::Johnson), run(Algorithm::ReadTarjan));
+            assert!(johnson.stats.cycles > 0);
+            assert_eq!(
+                crate::testing::canonicalized(johnson.cycles.unwrap()),
+                crate::testing::canonicalized(read_tarjan.cycles.unwrap()),
+                "{granularity:?}"
+            );
+            let (j, rt) = (&johnson.stats.work, &read_tarjan.stats.work);
+            assert!(
+                rt.total_edge_visits() >= j.total_edge_visits(),
+                "{granularity:?}: the probe should not visit fewer edges"
+            );
+            for work in [j, rt] {
+                assert!(work.total_copies() <= work.total_steals() + work.total_roots());
+            }
+        }
+    }
+
+    #[test]
+    fn fine_temporal_results_do_not_depend_on_thread_count() {
+        let (g, _) = generators::transaction_rings(TransactionRingConfig {
+            num_accounts: 150,
+            background_edges: 400,
+            num_rings: 10,
+            ring_len: (3, 5),
+            time_span: 500_000,
+            ring_span: 3_000,
+            seed: 34,
+        });
+        let collect = |engine: &Engine, algorithm, granularity| {
+            let query = temporal(algorithm, granularity, 3_000).collect(CollectMode::Collect);
+            crate::testing::canonicalized(engine.run(&query, &g).unwrap().cycles.unwrap())
+        };
+        let reference = collect(
+            &Engine::with_threads(1),
+            Algorithm::Johnson,
+            Granularity::Sequential,
+        );
+        assert!(reference.len() >= 10, "every planted ring is found");
+        for threads in [1, 2, 4, 8] {
+            let engine = Engine::with_threads(threads);
+            for algorithm in [Algorithm::Johnson, Algorithm::ReadTarjan] {
+                assert_eq!(
+                    reference,
+                    collect(&engine, algorithm, Granularity::FineGrained),
+                    "{algorithm:?} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fine_temporal_respects_max_len() {
+        let g = generators::directed_cycle(6);
+        let engine = Engine::with_threads(2);
+        for algorithm in [Algorithm::Johnson, Algorithm::ReadTarjan] {
+            let query = temporal(algorithm, Granularity::FineGrained, 100);
+            assert_eq!(engine.count(&query.clone().max_len(5), &g).unwrap(), 0);
+            assert_eq!(engine.count(&query.max_len(6), &g).unwrap(), 1);
+        }
+    }
+
+    /// The search keeps its edge visits and calls in plain counters and adds
+    /// them to the run's metrics once per drained search — including a
+    /// search the sink stopped half way. Sequential counters are exact, so
+    /// two runs agree on every one of them.
+    #[test]
+    fn temporal_counters_are_flushed_and_deterministic() {
+        let g = generators::hub_burst(2, 10);
+        let engine = Engine::with_threads(1);
+        for algorithm in [Algorithm::Johnson, Algorithm::ReadTarjan] {
+            let query = temporal(algorithm, Granularity::Sequential, 1_000);
+            let full = engine.run(&query, &g).unwrap().stats.work;
+            let stopped = engine.first_k(3, &query, &g).unwrap().stats.work;
+            let (visits, calls) = (stopped.total_edge_visits(), stopped.total_recursive_calls());
+            assert!(visits > 0 && calls > 0, "{algorithm:?}: nothing flushed");
+            assert!(visits <= full.total_edge_visits(), "{algorithm:?}");
+            assert!(calls <= full.total_recursive_calls(), "{algorithm:?}");
+            let again = engine.run(&query, &g).unwrap().stats.work;
+            let counters = |work: &WorkSnapshot| {
+                work.workers
+                    .iter()
+                    .map(|w| WorkerWork {
+                        busy_nanos: 0,
+                        ..*w
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(counters(&full), counters(&again), "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | Tiernan (brute force) | [`seq::tiernan`] | — | — |
 //! | Johnson | [`seq::johnson`] | [`par::coarse`] | [`par::fine_johnson`] |
 //! | Read-Tarjan | [`seq::read_tarjan`] | [`par::coarse`] | [`par::fine_read_tarjan`] |
-//! | Temporal (2SCENT-style) | [`seq::temporal`] | [`par::coarse`] | [`par::fine_temporal`] |
+//! | Temporal (Johnson, or Read-Tarjan with a completion probe) | [`delta::run`] over every edge with [`DeltaDriver::Sequential`](delta::DeltaDriver::Sequential) ([`seq::temporal`] keeps the 2SCENT stand-in) | … with [`DeltaDriver::Coarse`](delta::DeltaDriver::Coarse) | … with [`DeltaDriver::Fine`](delta::DeltaDriver::Fine) |
 //! | Delta (max-edge-rooted, streaming) | [`delta::run`] with [`DeltaDriver::Sequential`](delta::DeltaDriver::Sequential) / [`Sharded`](delta::DeltaDriver::Sharded) | … with [`DeltaDriver::Coarse`](delta::DeltaDriver::Coarse) | … with [`DeltaDriver::Fine`](delta::DeltaDriver::Fine) |
 //! | Multi-query subscriptions (one shared delta pass, per-query fan-out) | [`MultiStreamingEngine`] at [`Granularity::Sequential`] | … at [`Granularity::CoarseGrained`] (default) | … at [`Granularity::FineGrained`] (via [`MultiStreamingEngine::with_granularity`]) |
 //!

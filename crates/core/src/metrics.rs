@@ -82,6 +82,14 @@ impl WorkMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `n` recursive calls at once.
+    #[inline]
+    pub fn recursive_calls(&self, worker: usize, n: u64) {
+        self.slot(worker)
+            .recursive_calls
+            .fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Records one copy of the search state (copy-on-steal or task copy).
     #[inline]
     pub fn copy_event(&self, worker: usize) {

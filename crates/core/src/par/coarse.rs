@@ -10,10 +10,9 @@
 
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
-use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
+use crate::options::SimpleCycleOptions;
 use crate::seq::johnson::johnson_root;
 use crate::seq::read_tarjan::read_tarjan_root;
-use crate::seq::temporal::temporal_root;
 use crate::seq::tiernan::tiernan_root;
 use crate::seq::RootScratch;
 use crate::{Algorithm, Granularity};
@@ -23,8 +22,8 @@ use std::time::Instant;
 
 /// The shared coarse-grained driver: workers claim root edges from a dynamic
 /// counter and run `per_root` on each, winding down early when the sink stops
-/// the run. Every coarse entry point (simple *and* temporal) is this loop
-/// with a different per-root search plugged in.
+/// the run. Every coarse entry point is this loop with a different per-root
+/// search plugged in.
 fn run_coarse<S, F>(
     graph: &TemporalGraph,
     sink: &S,
@@ -130,32 +129,11 @@ pub fn coarse_tiernan_simple<S: CycleSink>(
     )
 }
 
-/// Coarse-grained parallel temporal-cycle enumeration: one dynamically
-/// scheduled task per root edge, each running the sequential temporal search
-/// with cycle-union and closing-time pruning.
-pub fn coarse_temporal<S: CycleSink>(
-    graph: &TemporalGraph,
-    opts: &TemporalCycleOptions,
-    sink: &S,
-    pool: &ThreadPool,
-) -> RunStats {
-    run_coarse(
-        graph,
-        sink,
-        pool,
-        Algorithm::Johnson,
-        |root, scratch, sink, metrics, worker| {
-            temporal_root(graph, root, opts, scratch, sink, metrics, worker)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cycle::{CollectingSink, CountingSink};
     use crate::seq::johnson::johnson_simple;
-    use crate::seq::temporal::temporal_simple;
     use pce_graph::generators::{self, RandomTemporalConfig};
 
     fn pool() -> ThreadPool {
@@ -207,22 +185,6 @@ mod tests {
         johnson_simple(&g, &opts, &seq);
         let par = CollectingSink::new();
         coarse_tiernan_simple(&g, &opts, &par, &pool());
-        assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
-    }
-
-    #[test]
-    fn coarse_temporal_matches_sequential() {
-        let g = generators::power_law_temporal(RandomTemporalConfig {
-            num_vertices: 50,
-            num_edges: 250,
-            time_span: 120,
-            seed: 4,
-        });
-        let opts = TemporalCycleOptions::with_window(60);
-        let seq = CollectingSink::new();
-        temporal_simple(&g, &opts, &seq);
-        let par = CollectingSink::new();
-        coarse_temporal(&g, &opts, &par, &pool());
         assert_eq!(seq.canonical_cycles(), par.canonical_cycles());
     }
 

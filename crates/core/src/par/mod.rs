@@ -11,10 +11,12 @@
 //!   §6: every recursive call is an independent task carrying copies of its
 //!   path and blocked set. Both scalable and work efficient (Theorems
 //!   6.1/6.2).
-//! * [`fine_temporal`] — the temporal-cycle versions of the fine-grained
-//!   algorithms (§7), built on the scalable cycle-union preprocessing.
+//!
+//! These are the simple-cycle drivers. Temporal queries (§7) run the coarse
+//! and fine drivers of [`crate::delta`] instead: one frame search with
+//! copy-on-steal, rooted at each cycle's maximum edge, for Johnson and (with
+//! a completion probe) Read-Tarjan alike.
 
 pub mod coarse;
 pub mod fine_johnson;
 pub mod fine_read_tarjan;
-pub mod fine_temporal;

@@ -1,13 +1,15 @@
 //! Sequential enumeration algorithms: Tiernan (brute force), Johnson,
-//! Read-Tarjan and the temporal-cycle DFS (the 2SCENT-style baseline).
+//! Read-Tarjan, and the 2SCENT-style temporal baseline.
 //!
-//! Every algorithm is organised around *rooted searches*: the graph's edges
-//! are processed in ascending `(timestamp, id)` order, and the search rooted
-//! at edge `e = v0 → v1` enumerates exactly the cycles whose minimum edge is
-//! `e` (all other edges must come strictly after `e` and lie within the time
-//! window anchored at `e`). Processing every edge therefore enumerates every
-//! cycle exactly once — sequentially here, and in parallel (one task per root,
-//! or finer) in [`crate::par`].
+//! Every simple-cycle algorithm is organised around *rooted searches*: the
+//! graph's edges are processed in ascending `(timestamp, id)` order, and the
+//! search rooted at edge `e = v0 → v1` enumerates exactly the cycles whose
+//! minimum edge is `e` (all other edges must come strictly after `e` and lie
+//! within the time window anchored at `e`). Processing every edge therefore
+//! enumerates every cycle exactly once — sequentially here, and in parallel
+//! (one task per root, or finer) in [`crate::par`]. Temporal cycles are
+//! enumerated by the max-edge-rooted search of [`crate::delta`] instead (see
+//! [`temporal`]).
 
 pub mod johnson;
 pub mod read_tarjan;
@@ -17,7 +19,7 @@ pub mod tiernan;
 use crate::cycle::{CycleSink, HaltingSink};
 use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::SimpleCycleOptions;
-use crate::util::{fx_set, FxHashSet};
+use crate::util::VertexMarks;
 use pce_graph::{EdgeId, TemporalEdge, TemporalGraph, VertexId};
 use std::time::Instant;
 
@@ -33,7 +35,7 @@ pub struct RootScratch {
     /// Edge ids of the delta search's current path.
     pub(crate) path_edges: Vec<EdgeId>,
     /// Membership set of `path`, for the simple-path test.
-    pub(crate) on_path: FxHashSet<VertexId>,
+    pub(crate) on_path: VertexMarks,
     /// Edge records assembled for the close-time whole-cycle re-check.
     pub(crate) edge_buf: Vec<TemporalEdge>,
 }
@@ -45,7 +47,7 @@ impl RootScratch {
             union: pce_graph::reach::CycleUnionWorkspace::new(n),
             path: Vec::new(),
             path_edges: Vec::new(),
-            on_path: fx_set(),
+            on_path: VertexMarks::default(),
             edge_buf: Vec::new(),
         }
     }

@@ -1,191 +1,74 @@
 //! Temporal-cycle enumeration (§7): cycles whose edges appear in strictly
 //! increasing timestamp order within a time window.
 //!
-//! The search rooted at edge `e0 = v0 → v1` (timestamp `t0`) enumerates every
-//! temporal cycle whose first — and therefore strictly smallest — edge is
-//! `e0` and whose edges all lie in `[t0 : t0 + δ]`. Because the first edge of
-//! a temporal cycle is unique, enumerating from every root edge yields every
-//! temporal cycle exactly once.
+//! The temporal search itself lives in [`crate::delta`]: the search rooted
+//! at edge `e` enumerates every temporal cycle whose last — and therefore
+//! strictly largest — edge is `e`, walking time-ordered paths from `e`'s
+//! head back to its tail over earlier edges inside the window. Because the
+//! last edge of a temporal cycle is unique, rooting the search at every edge
+//! yields every temporal cycle exactly once; [`Engine`](crate::Engine) runs
+//! one-shot temporal queries that way, at every granularity.
 //!
-//! Two prunings keep the search tight, mirroring the design of §7 of the
-//! paper:
+//! Two prunings keep each rooted search tight, mirroring the design of §7 of
+//! the paper:
 //!
 //! 1. **Cycle-union preprocessing**: only vertices that are temporally
-//!    reachable from `v1` *and* can temporally reach `v0` within the window
-//!    are ever visited ([`pce_graph::reach::CycleUnionWorkspace`]).
+//!    reachable from the root's head *and* can temporally reach its tail
+//!    within the window are ever visited
+//!    ([`pce_graph::reach::CycleUnionWorkspace`]).
 //! 2. **Closing times**: the same backward pass computes, for every vertex
 //!    `w`, the latest timestamp at which a temporal path can still leave `w`
-//!    towards `v0`; arriving later than that is pruned immediately. This is a
-//!    static, per-root form of 2SCENT's closing-time pruning: it ignores the
-//!    simple-path constraint, so it can never prune a real cycle, and unlike
-//!    2SCENT's sequential preprocessing it parallelises trivially across
-//!    roots.
+//!    towards the root's tail; arriving later than that is pruned
+//!    immediately. This is a static, per-root form of 2SCENT's closing-time
+//!    pruning: it ignores the simple-path constraint, so it can never prune a
+//!    real cycle, and unlike 2SCENT's sequential preprocessing it
+//!    parallelises trivially across roots.
 //!
 //! [`two_scent_baseline`] packages the same rooted search behind a strictly
 //! sequential, timestamp-ordered driver and stands in for the serial 2SCENT
 //! implementation that Figure 9 of the paper compares against.
 
-use crate::cycle::{CycleSink, HaltingSink};
-use crate::metrics::{RunStats, WorkMetrics};
+use crate::cycle::CycleSink;
+use crate::delta::delta_temporal_with_scratch;
+use crate::metrics::RunStats;
 use crate::options::TemporalCycleOptions;
-use crate::seq::{timed_run, RootScratch};
-use crate::union::UnionQuery;
-use crate::util::{fx_set, FxHashSet};
-use crate::{Algorithm, Granularity};
-use pce_graph::{EdgeId, TemporalGraph, TimeWindow, Timestamp, VertexId};
-
-struct TemporalSearch<'a, S> {
-    graph: &'a TemporalGraph,
-    sink: &'a HaltingSink<'a, S>,
-    metrics: &'a WorkMetrics,
-    worker: usize,
-    opts: &'a TemporalCycleOptions,
-    union: &'a dyn UnionQuery,
-    v0: VertexId,
-    t_end: Timestamp,
-    path: Vec<VertexId>,
-    path_edges: Vec<EdgeId>,
-    on_path: FxHashSet<VertexId>,
-}
-
-impl<S: CycleSink> TemporalSearch<'_, S> {
-    /// Depth-first extension of the current temporal path; `arrival` is the
-    /// timestamp of the last edge on the path, so the next edge must be
-    /// strictly later.
-    fn extend(&mut self, v: VertexId, arrival: Timestamp) {
-        self.metrics.recursive_call(self.worker);
-        let graph = self.graph;
-        let window = TimeWindow::new(arrival.saturating_add(1), self.t_end);
-        for &entry in graph.out_edges_in_window(v, window) {
-            if self.sink.stopped() {
-                return;
-            }
-            self.metrics.edge_visit(self.worker);
-            let w = entry.neighbor;
-            if w == self.v0 {
-                if self.opts.len_ok(self.path_edges.len() + 1) {
-                    self.path_edges.push(entry.edge);
-                    self.sink.push(&self.path, &self.path_edges);
-                    self.path_edges.pop();
-                }
-                continue;
-            }
-            if self.on_path.contains(&w)
-                || !self.union.in_union(w)
-                || !self.union.can_close_after(w, entry.ts)
-                || !self.opts.len_ok(self.path_edges.len() + 2)
-            {
-                continue;
-            }
-            self.path.push(w);
-            self.path_edges.push(entry.edge);
-            self.on_path.insert(w);
-            self.extend(w, entry.ts);
-            self.on_path.remove(&w);
-            self.path_edges.pop();
-            self.path.pop();
-        }
-    }
-}
-
-/// Runs the temporal search rooted at edge `root`.
-pub(crate) fn temporal_root<S: CycleSink>(
-    graph: &TemporalGraph,
-    root: EdgeId,
-    opts: &TemporalCycleOptions,
-    scratch: &mut RootScratch,
-    sink: &HaltingSink<'_, S>,
-    metrics: &WorkMetrics,
-    worker: usize,
-) {
-    let e0 = graph.edge(root);
-    if e0.src == e0.dst {
-        // Self-loops are degenerate temporal cycles of length 1 and are not
-        // reported, matching the simple-cycle default.
-        return;
-    }
-    metrics.root_processed(worker);
-    if !scratch
-        .union
-        .compute_temporal(graph, root, opts.window_delta)
-    {
-        return;
-    }
-    let mut on_path = fx_set();
-    on_path.insert(e0.src);
-    on_path.insert(e0.dst);
-    let mut search = TemporalSearch {
-        graph,
-        sink,
-        metrics,
-        worker,
-        opts,
-        union: &scratch.union,
-        v0: e0.src,
-        t_end: e0.ts.saturating_add(opts.window_delta),
-        path: vec![e0.src, e0.dst],
-        path_edges: vec![root],
-        on_path,
-    };
-    search.extend(e0.dst, e0.ts);
-}
-
-/// Sequential temporal-cycle enumeration using the scalable per-root
-/// preprocessing of §7.
-pub fn temporal_simple<S: CycleSink>(
-    graph: &TemporalGraph,
-    opts: &TemporalCycleOptions,
-    sink: &S,
-) -> RunStats {
-    let metrics = WorkMetrics::new(1);
-    let sink = HaltingSink::new(sink);
-    timed_run(&sink, &metrics, 1, || {
-        let mut scratch = RootScratch::new(graph.num_vertices());
-        for root in 0..graph.num_edges() as EdgeId {
-            if sink.stopped() {
-                break;
-            }
-            temporal_root(graph, root, opts, &mut scratch, &sink, &metrics, 0);
-        }
-    })
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
-}
+use crate::seq::RootScratch;
+use pce_graph::{CyclePredicate, EdgeId, TemporalGraph, Timestamp};
 
 /// The 2SCENT-style serial baseline of Kumar and Calders used as the
 /// reference point of the paper's Figure 9.
 ///
 /// Algorithmically it performs the same rooted temporal searches with
-/// closing-time pruning, but the driver is strictly sequential: root edges are
-/// processed one by one in ascending timestamp order and the reachability
-/// preprocessing for root *i+1* is only started after the search for root *i*
-/// finished — exactly the dependency structure that makes the original
-/// 2SCENT preprocessing impossible to parallelise and motivates the paper's
-/// replacement preprocessing.
+/// closing-time pruning as every one-shot temporal query, but the driver is
+/// strictly sequential: root edges are processed one by one in ascending
+/// timestamp order and the reachability preprocessing for root *i+1* is only
+/// started after the search for root *i* finished — exactly the dependency
+/// structure that makes the original 2SCENT preprocessing impossible to
+/// parallelise and motivates the paper's replacement preprocessing.
 pub fn two_scent_baseline<S: CycleSink>(
     graph: &TemporalGraph,
     opts: &TemporalCycleOptions,
     sink: &S,
 ) -> RunStats {
-    let metrics = WorkMetrics::new(1);
-    let sink = HaltingSink::new(sink);
-    timed_run(&sink, &metrics, 1, || {
-        let mut scratch = RootScratch::new(graph.num_vertices());
-        // Root edges are already stored in ascending (timestamp, id) order, so
-        // iterating ids ascending is the timestamp-ordered sweep of 2SCENT.
-        for root in 0..graph.num_edges() as EdgeId {
-            if sink.stopped() {
-                break;
-            }
-            temporal_root(graph, root, opts, &mut scratch, &sink, &metrics, 0);
-        }
-    })
-    .tagged(Algorithm::Johnson, Granularity::Sequential)
+    // Root edges are stored in ascending (timestamp, id) order, so the
+    // sequential sweep over ascending ids is the timestamp-ordered sweep of
+    // 2SCENT.
+    delta_temporal_with_scratch(
+        graph,
+        0..graph.num_edges() as EdgeId,
+        Timestamp::MIN,
+        opts,
+        &CyclePredicate::pass_all(),
+        sink,
+        &mut RootScratch::new(graph.num_vertices()),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cycle::{CollectingSink, CountingSink};
+    use crate::{Algorithm, CollectMode, Engine, Granularity, Query};
     use pce_graph::generators::{self, RandomTemporalConfig, TransactionRingConfig};
     use pce_graph::GraphBuilder;
 
@@ -197,7 +80,7 @@ mod tests {
     fn directed_cycle_is_a_temporal_cycle() {
         let g = generators::directed_cycle(5);
         let sink = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(100), &sink);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(100), &sink);
         assert_eq!(sink.count(), 1);
     }
 
@@ -212,7 +95,7 @@ mod tests {
             .add_edge(2, 0, 2)
             .build();
         let sink = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(100), &sink);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(100), &sink);
         assert_eq!(sink.count(), 0);
 
         // A 2-cycle with distinct timestamps, by contrast, can always be
@@ -222,7 +105,7 @@ mod tests {
             .add_edge(1, 0, 3)
             .build();
         let sink = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(100), &sink);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(100), &sink);
         assert_eq!(sink.count(), 1);
     }
 
@@ -234,10 +117,10 @@ mod tests {
             .add_edge(2, 0, 20)
             .build();
         let tight = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(15), &tight);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(15), &tight);
         assert_eq!(tight.count(), 0);
         let wide = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(20), &wide);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(20), &wide);
         assert_eq!(wide.count(), 1);
     }
 
@@ -249,7 +132,7 @@ mod tests {
             .add_edge(2, 0, 6)
             .build();
         let sink = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(100), &sink);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(100), &sink);
         assert_eq!(sink.count(), 0);
     }
 
@@ -264,7 +147,7 @@ mod tests {
             });
             for delta in [10, 25, 60] {
                 let sink = CollectingSink::new();
-                temporal_simple(&g, &TemporalCycleOptions::with_window(delta), &sink);
+                two_scent_baseline(&g, &TemporalCycleOptions::with_window(delta), &sink);
                 let expected = oracle_temporal(&g, delta);
                 assert_eq!(
                     sink.canonical_cycles(),
@@ -285,7 +168,7 @@ mod tests {
         });
         let delta = 80;
         let sink = CollectingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(delta), &sink);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(delta), &sink);
         for c in sink.canonical_cycles() {
             c.validate(&g).expect("valid cycle");
             assert!(c.is_temporal(&g), "timestamps must strictly increase");
@@ -306,7 +189,7 @@ mod tests {
         };
         let (g, planted) = generators::transaction_rings(cfg);
         let sink = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(cfg.ring_span), &sink);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(cfg.ring_span), &sink);
         assert!(
             sink.count() >= planted as u64,
             "expected at least {planted} planted rings, found {}",
@@ -323,10 +206,10 @@ mod tests {
             .add_edge(2, 0, 4)
             .build();
         let all = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(100), &all);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(100), &all);
         assert_eq!(all.count(), 2);
         let short = CountingSink::new();
-        temporal_simple(
+        two_scent_baseline(
             &g,
             &TemporalCycleOptions::with_window(100).max_len(2),
             &short,
@@ -334,8 +217,10 @@ mod tests {
         assert_eq!(short.count(), 1);
     }
 
+    /// Every one-shot temporal query — each granularity, with and without
+    /// the Read–Tarjan completion probe — reports the baseline's cycles.
     #[test]
-    fn baseline_matches_scalable_sequential() {
+    fn baseline_matches_every_engine_configuration() {
         let g = generators::uniform_temporal(RandomTemporalConfig {
             num_vertices: 25,
             num_edges: 150,
@@ -344,10 +229,28 @@ mod tests {
         });
         let opts = TemporalCycleOptions::with_window(30);
         let a = CollectingSink::new();
-        temporal_simple(&g, &opts, &a);
-        let b = CollectingSink::new();
-        two_scent_baseline(&g, &opts, &b);
-        assert_eq!(a.canonical_cycles(), b.canonical_cycles());
+        two_scent_baseline(&g, &opts, &a);
+        assert!(!a.canonical_cycles().is_empty());
+        let engine = Engine::with_threads(2);
+        for granularity in [
+            Granularity::Sequential,
+            Granularity::CoarseGrained,
+            Granularity::FineGrained,
+        ] {
+            for algorithm in [Algorithm::Johnson, Algorithm::ReadTarjan] {
+                let query = Query::temporal()
+                    .window(30)
+                    .granularity(granularity)
+                    .algorithm(algorithm)
+                    .collect(CollectMode::Collect);
+                let cycles = engine.run(&query, &g).unwrap().cycles.unwrap();
+                assert_eq!(
+                    a.canonical_cycles(),
+                    crate::testing::canonicalized(cycles),
+                    "{granularity:?} {algorithm:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -358,7 +261,7 @@ mod tests {
             .add_edge(1, 0, 7)
             .build();
         let sink = CountingSink::new();
-        temporal_simple(&g, &TemporalCycleOptions::with_window(100), &sink);
+        two_scent_baseline(&g, &TemporalCycleOptions::with_window(100), &sink);
         assert_eq!(sink.count(), 2);
     }
 }

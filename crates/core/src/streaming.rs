@@ -80,7 +80,7 @@
 
 use crate::cycle::{CollectingSink, CountingSink, Cycle, CycleSink};
 use crate::delta::{self, DeltaDriver, DeltaKind, DeltaPlan};
-use crate::engine::{CollectMode, CycleKind, Engine, EnumerationError, Granularity};
+use crate::engine::{Algorithm, CollectMode, CycleKind, Engine, EnumerationError, Granularity};
 use crate::metrics::{LatencyStats, RunStats};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
 use crate::seq::RootScratch;
@@ -586,6 +586,7 @@ impl StreamingEngine {
             // the stream is chopped.
             floor: Timestamp::MIN,
             predicate: &q.predicate,
+            algorithm: Algorithm::Johnson,
         };
         let t1 = Instant::now();
         let (cycles, stats) = match q.collect {
@@ -2214,6 +2215,7 @@ impl MultiStreamingEngine {
                     driver,
                     floor: Timestamp::MIN,
                     predicate: &pass.predicate,
+                    algorithm: Algorithm::Johnson,
                 };
                 match self.strategy {
                     FanOutStrategy::Naive => {

@@ -23,12 +23,18 @@
 //! harnesses through the `testing` cargo feature; production builds exclude
 //! it (and its `rand` dependency) entirely.
 
-use crate::cycle::{CollectingSink, Cycle};
+use crate::cycle::{CollectingSink, Cycle, CycleSink};
 use crate::options::SimpleCycleOptions;
 use crate::seq::tiernan::tiernan_simple;
-use pce_graph::{CyclePredicate, GraphBuilder, TemporalEdge, TemporalGraph, Timestamp};
+use parking_lot::Mutex;
+use pce_graph::{
+    CyclePredicate, EdgeId, GraphBuilder, TemporalEdge, TemporalGraph, Timestamp, VertexId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// Canonicalises and sorts a cycle collection: the deterministic form every
 /// differential comparison in the workspace uses (equal iff byte-identical).
@@ -116,6 +122,60 @@ pub fn oracle_with_predicates(
         predicate.accepts_cycle(&edges, &vertices)
     });
     canonicalized(survivors)
+}
+
+/// A counting sink that hands the core to thieves: until a second thread
+/// has pushed a cycle, each push naps briefly (within a time budget). The
+/// pushing owner holds its search across the nap, but it yields the core,
+/// so an idle worker is scheduled and queues for a split even on a loaded
+/// test executor; once a thief pushes, the naps stop. A barrier cannot force
+/// this interleaving: the owner holds its search's lock while it pushes, so
+/// a thief can split only between pushes. Steal tests of the fine-grained
+/// drivers run through it, so they neither flake nor need a search long
+/// enough to crowd out the tests running beside them.
+#[derive(Debug)]
+pub struct SpreadGate {
+    count: AtomicU64,
+    first: Mutex<Option<std::thread::ThreadId>>,
+    spread: AtomicBool,
+    deadline: Instant,
+}
+
+impl SpreadGate {
+    /// A gate that naps for at most 20 s in total.
+    pub fn new() -> Self {
+        Self {
+            count: AtomicU64::new(0),
+            first: Mutex::new(None),
+            spread: AtomicBool::new(false),
+            deadline: Instant::now() + Duration::from_secs(20),
+        }
+    }
+}
+
+impl Default for SpreadGate {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CycleSink for SpreadGate {
+    fn push(&self, _: &[VertexId], _: &[EdgeId]) -> ControlFlow<()> {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        if !self.spread.load(Ordering::Relaxed) {
+            let me = std::thread::current().id();
+            if *self.first.lock().get_or_insert(me) != me {
+                self.spread.store(true, Ordering::Relaxed);
+            } else if Instant::now() < self.deadline {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
 }
 
 /// Builds a temporal multigraph from raw `(src, dst, ts)` triples, wrapping

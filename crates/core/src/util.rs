@@ -7,6 +7,7 @@
 //! (the one rustc uses) re-implemented here in a few lines rather than adding
 //! an external dependency.
 
+use pce_graph::VertexId;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -77,6 +78,52 @@ pub fn fx_map<K, V>() -> FxHashMap<K, V> {
     FxHashMap::default()
 }
 
+/// A set of dense vertex ids that empties in O(1): a vertex is a member
+/// while its stamp equals the current epoch, so [`reset`](Self::reset) only
+/// bumps the epoch. The search's path-membership test reads one slot instead
+/// of hashing.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct VertexMarks {
+    stamps: Vec<u32>,
+    /// Never 0 after the first reset, so a cleared slot (0) is never a
+    /// member.
+    epoch: u32,
+}
+
+impl VertexMarks {
+    /// Empties the set and makes room for the vertices `0..n`.
+    pub(crate) fn reset(&mut self, n: usize) {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// The number of vertex slots (the `n` of the largest reset so far).
+    pub(crate) fn universe(&self) -> usize {
+        self.stamps.len()
+    }
+
+    #[inline]
+    pub(crate) fn insert(&mut self, v: VertexId) {
+        self.stamps[v as usize] = self.epoch;
+    }
+
+    #[inline]
+    pub(crate) fn remove(&mut self, v: VertexId) {
+        self.stamps[v as usize] = 0;
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, v: VertexId) -> bool {
+        self.stamps[v as usize] == self.epoch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +165,26 @@ mod tests {
             "too many collisions: {}",
             low_bits.len()
         );
+    }
+
+    #[test]
+    fn vertex_marks_reset_in_place() {
+        let mut marks = VertexMarks::default();
+        marks.reset(4);
+        marks.insert(1);
+        marks.insert(3);
+        assert!(marks.contains(1) && marks.contains(3) && !marks.contains(0));
+        marks.remove(3);
+        assert!(!marks.contains(3));
+        marks.reset(6);
+        assert_eq!(marks.universe(), 6);
+        assert!((0..6).all(|v| !marks.contains(v)));
+        // Epoch wrap-around clears every stamp instead of reviving them.
+        marks.insert(2);
+        marks.epoch = u32::MAX;
+        marks.insert(5);
+        marks.reset(6);
+        assert!((0..6).all(|v| !marks.contains(v)));
     }
 
     #[test]

@@ -254,7 +254,7 @@ pub struct RandomTemporalConfig {
 pub fn uniform_temporal(cfg: RandomTemporalConfig) -> TemporalGraph {
     assert!(cfg.num_vertices >= 2);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut builder = GraphBuilder::with_vertices(cfg.num_vertices);
+    let mut builder = GraphBuilder::from_edges(cfg.num_vertices, Vec::with_capacity(cfg.num_edges));
     for _ in 0..cfg.num_edges {
         let src = rng.gen_range(0..cfg.num_vertices) as VertexId;
         let mut dst = rng.gen_range(0..cfg.num_vertices) as VertexId;
@@ -278,11 +278,12 @@ pub fn uniform_temporal(cfg: RandomTemporalConfig) -> TemporalGraph {
 pub fn power_law_temporal(cfg: RandomTemporalConfig) -> TemporalGraph {
     assert!(cfg.num_vertices >= 2);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut builder = GraphBuilder::with_vertices(cfg.num_vertices);
+    let mut builder = GraphBuilder::from_edges(cfg.num_vertices, Vec::with_capacity(cfg.num_edges));
     // The "repeated nodes" pool implements preferential attachment: every time
     // an edge touches a vertex we push the vertex into the pool, so the
     // probability of picking it again is proportional to its degree.
-    let mut pool: Vec<VertexId> = (0..cfg.num_vertices as VertexId).collect();
+    let mut pool: Vec<VertexId> = Vec::with_capacity(cfg.num_vertices + 2 * cfg.num_edges);
+    pool.extend(0..cfg.num_vertices as VertexId);
     let num_hubs = (cfg.num_vertices / 100).max(1);
     let hub_bias = 0.15f64;
 
@@ -362,7 +363,9 @@ pub fn transaction_rings(cfg: TransactionRingConfig) -> (TemporalGraph, usize) {
     assert!(cfg.num_accounts > cfg.ring_len.1.max(2));
     assert!(cfg.ring_len.0 >= 2 && cfg.ring_len.0 <= cfg.ring_len.1);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut builder = GraphBuilder::with_vertices(cfg.num_accounts);
+    // Each ring adds at most `ring_len.1` edges to the background traffic.
+    let capacity = cfg.background_edges + cfg.num_rings * cfg.ring_len.1;
+    let mut builder = GraphBuilder::from_edges(cfg.num_accounts, Vec::with_capacity(capacity));
 
     // Background traffic: mildly skewed endpoints.
     for _ in 0..cfg.background_edges {

@@ -27,10 +27,12 @@
 //! of heap-ordered, time-respecting frontier walks costing
 //! `O((vertices + edges touched) · log V)` — a root whose head reaches little
 //! costs little, however many edges the δ-window holds. The walks record the
-//! adjacency entries they examine ([`CycleUnionWorkspace::edge_scans`]). The
-//! one-shot min-rooted temporal pass
-//! ([`CycleUnionWorkspace::compute_temporal`]) still scans its window's edge
-//! ids once per direction; its callers are search-bound.
+//! adjacency entries they examine ([`CycleUnionWorkspace::edge_scans`]).
+//! Every temporal search — streamed or one-shot, at any granularity — roots
+//! cycles at their maximum edge and runs that pass. The min-rooted temporal
+//! pass ([`CycleUnionWorkspace::compute_temporal`]) still scans its window's
+//! edge ids once per direction; only path bundling (`pce-core::bundle`)
+//! calls it.
 
 use crate::predicate::{CyclePredicate, VertexFilter};
 use crate::temporal::TemporalGraph;
