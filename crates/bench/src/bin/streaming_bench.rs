@@ -38,13 +38,6 @@
 //! scenario itself asserts the durable and recovered engines report exactly
 //! what the plain engine reports.
 //!
-//! The **sharded** section measures what hash-by-vertex `ShardSpec`
-//! partitioning of the sliding-window graph buys the ingest path: the same
-//! stream replayed at S = 1/2/4/8 shards under a Sequential-granularity
-//! query, asserting byte-identical reports at every shard count and (on
-//! machines with ≥ 4 cores) a monotonically rising edges/sec curve from
-//! S=1 to S=4.
-//!
 //! The **fan_out** section measures the subscription-scale dispatch layer: a
 //! 64/256/1024-subscription portfolio drawn from a fixed 16-profile pool,
 //! served once with the naive per-candidate loop and once with the
@@ -74,8 +67,8 @@ use pce_workloads::durability::{run_durability, DurabilityConfig, StoreBackend};
 use pce_workloads::predicate::{run_predicate_comparison, PredicateScenarioConfig};
 use pce_workloads::streaming::{
     run_fan_out_scale, run_hub_burst, run_independent_portfolio, run_multi_tenant,
-    run_sharded_scale, run_stream_scenario, FanOutScaleConfig, HubBurstConfig, MultiTenantConfig,
-    ShardedScaleConfig, StreamScenarioConfig,
+    run_stream_scenario, FanOutScaleConfig, HubBurstConfig, MultiTenantConfig,
+    StreamScenarioConfig,
 };
 
 fn granularity_name(g: Granularity) -> &'static str {
@@ -696,86 +689,6 @@ fn predicate_section(smoke: bool, thread_counts: &[usize], log: &mut JsonLog) {
     );
 }
 
-/// The sharded-ingest section: the stream scenario replayed once per shard
-/// count (S = 1, 2, 4, 8) through a `StreamingEngine` whose sliding-window
-/// graph is hash-partitioned by `ShardSpec`, at a Sequential-granularity
-/// query so the shard layout parallelises both the per-batch append/expiry
-/// work and the per-root delta searches. The runner asserts byte-identical
-/// reports across shard counts; the throughput gate below additionally
-/// requires the edges/sec curve to rise from S=1 to S=4 — but only on
-/// machines with at least 4 cores, since sharding is pure overhead on a
-/// single core.
-fn sharded_section(smoke: bool, threads: usize, log: &mut JsonLog) {
-    let cfg = if smoke {
-        ShardedScaleConfig::smoke()
-    } else {
-        ShardedScaleConfig::default()
-    };
-    println!(
-        "\nsharded ingest ({}, {} threads, seq granularity): hash-by-vertex \
-         ShardSpec over the sliding-window graph",
-        if smoke { "smoke" } else { "full" },
-        threads,
-    );
-    println!(
-        "{:>7} {:>12} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "shards", "edges/sec", "batches", "mean ms", "p95 ms", "max ms", "cycles"
-    );
-    let rows = run_sharded_scale(&cfg, threads).expect("valid sharded config");
-    for row in &rows {
-        let r = &row.report;
-        println!(
-            "{:>7} {:>12.0} {:>10} {:>10.3} {:>10.3} {:>10.3} {:>9}",
-            row.shards,
-            r.sustained_edges_per_sec(),
-            r.rows.len(),
-            r.mean_latency_secs() * 1e3,
-            r.latency_percentile_secs(0.95) * 1e3,
-            r.max_latency_secs() * 1e3,
-            r.total_cycles,
-        );
-        log.push(
-            "sharded",
-            vec![
-                ("threads", threads.into()),
-                ("shards", row.shards.into()),
-                ("edges_per_sec", r.sustained_edges_per_sec().into()),
-                ("batches", r.rows.len().into()),
-                ("mean_ms", (r.mean_latency_secs() * 1e3).into()),
-                ("p95_ms", (r.latency_percentile_secs(0.95) * 1e3).into()),
-                ("max_ms", (r.max_latency_secs() * 1e3).into()),
-                ("cycles", r.total_cycles.into()),
-            ],
-        );
-    }
-    // Cycle equality across shard counts is asserted inside the runner,
-    // batch by batch. The throughput gate only makes sense with real cores
-    // to spread the shards over.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 4 && threads >= 4 {
-        let at = |s: usize| {
-            rows.iter()
-                .find(|r| r.shards == s)
-                .map(|r| r.report.sustained_edges_per_sec())
-                .expect("sweep includes S=1..4")
-        };
-        assert!(
-            at(1) < at(2) && at(2) < at(4),
-            "edges/sec must rise monotonically S=1 -> S=4 on a multi-core \
-             machine ({:.0} / {:.0} / {:.0})",
-            at(1),
-            at(2),
-            at(4),
-        );
-        println!("ok: identical reports at every shard count; edges/sec rises S=1 -> S=4");
-    } else {
-        println!(
-            "ok: identical reports at every shard count (monotonicity gate skipped: \
-             {cores} cores, {threads} threads)"
-        );
-    }
-}
-
 /// The durability section: logged vs in-memory ingest overhead and recovery
 /// time, on both store backends. The scenario asserts report equivalence
 /// internally; the gate here is on the bookkeeping shape (every batch
@@ -907,16 +820,15 @@ fn main() {
 
     // Section selectors: with none given, every section runs; naming any
     // subset (`streaming`, `hub_burst`, `multi_query`, `fan_out`,
-    // `predicate`, `sharded`, `durability`) runs only those. Unknown positional tokens
+    // `predicate`, `durability`) runs only those. Unknown positional tokens
     // are an error, not a silent run-all — a typoed section name in CI must
     // fail fast, not change the gate.
-    const SECTIONS: [&str; 7] = [
+    const SECTIONS: [&str; 6] = [
         "streaming",
         "hub_burst",
         "multi_query",
         "fan_out",
         "predicate",
-        "sharded",
         "durability",
     ];
     let mut selected: Vec<&str> = Vec::new();
@@ -951,9 +863,6 @@ fn main() {
     }
     if runs("predicate") {
         predicate_section(smoke, thread_counts, &mut log);
-    }
-    if runs("sharded") {
-        sharded_section(smoke, max_threads, &mut log);
     }
     if runs("durability") {
         durability_section(smoke, max_threads, &mut log);

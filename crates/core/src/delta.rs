@@ -22,31 +22,30 @@
 //! passes (including the latest-departure closing-time bound for temporal
 //! cycles).
 //!
-//! # One plan, one search, four drivers
+//! # One plan, one search, three drivers
 //!
 //! A pass is described by a [`DeltaPlan`] and executed by [`run`]. The
 //! plan's [`DeltaKind`] is the cycle definition (simple or temporal, with
-//! its window and length bound); its [`DeltaDriver`] says how the batch's
-//! roots spread over threads. Whatever the driver, every closing root runs
-//! the same search: the backward depth-first walk written over an explicit
-//! frame stack, as the paper's fine-grained Johnson (§5) writes it. The
-//! owner claims entries from its deepest frame — the sequential order — and
-//! allocates nothing per call, so one thread does the sequential
-//! algorithm's work and no more. The drivers mirror the one-shot
-//! granularities:
+//! its window and length bound); its [`Granularity`] names the driver that
+//! spreads the batch's roots over threads. Whatever the driver, every
+//! closing root runs the same search: the backward depth-first walk written
+//! over an explicit frame stack, as the paper's fine-grained Johnson (§5)
+//! writes it. The owner claims entries from its deepest frame — the
+//! sequential order — and allocates nothing per call, so one thread does
+//! the sequential algorithm's work and no more. The drivers are the
+//! one-shot granularities:
 //!
-//! * [`DeltaDriver::Sequential`] — the calling thread sweeps the roots;
-//! * [`DeltaDriver::Sharded`] — pool workers claim whole shards and each
-//!   sweeps the roots its shard owns (see [`ShardSpec::owner`]);
-//! * [`DeltaDriver::Coarse`] — pool workers claim one root at a time (§4):
-//!   work efficient, but a batch whose cycles all hang off one hot root
-//!   collapses to a single worker;
-//! * [`DeltaDriver::Fine`] — the paper's copy-on-steal (§5): each closing
-//!   root's search is registered in a [`StealLoop`], and idle workers split
-//!   the shallowest frame's next branch off and copy the path prefix only
-//!   then, so even a single-root burst engages all workers. The per-root
-//!   pruning state is shared read-only, and with no blocked set a steal
-//!   needs no unblock pass.
+//! * [`Granularity::Sequential`] — the calling thread sweeps the roots in
+//!   ascending id order;
+//! * [`Granularity::CoarseGrained`] — pool workers claim one root at a time
+//!   from a dynamic counter (§4): work efficient, but a batch whose cycles
+//!   all hang off one hot root collapses to a single worker;
+//! * [`Granularity::FineGrained`] — the paper's copy-on-steal (§5): each
+//!   closing root's search is registered in a [`StealLoop`], and idle
+//!   workers split the shallowest frame's next branch off and copy the path
+//!   prefix only then, so even a single-root burst engages all workers. The
+//!   per-root pruning state is shared read-only, and with no blocked set a
+//!   steal needs no unblock pass.
 //!
 //! Only the fine driver registers its searches and locks them; the others
 //! drain each search on the worker that prepared it.
@@ -121,7 +120,7 @@
 //! been physically dropped.
 
 use crate::cycle::{CycleSink, HaltingSink};
-use crate::metrics::{RunStats, ShardStats, WorkMetrics};
+use crate::metrics::{RunStats, WorkMetrics};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
 use crate::seq::RootScratch;
 use crate::union::{UnionQuery, UnionView};
@@ -130,12 +129,12 @@ use crate::{Algorithm, Granularity};
 use parking_lot::Mutex;
 use pce_graph::reach::CycleUnionWorkspace;
 use pce_graph::{
-    AdjEntry, Amount, CyclePredicate, EdgeId, GraphView, Position, ShardSpec, TemporalEdge,
-    TimeWindow, Timestamp, VertexFilter, VertexId,
+    AdjEntry, Amount, CyclePredicate, EdgeId, GraphView, Position, TemporalEdge, TimeWindow,
+    Timestamp, VertexFilter, VertexId,
 };
 use pce_sched::{DynamicCounter, StealLoop, ThreadPool};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -165,75 +164,27 @@ impl DeltaKind {
     }
 }
 
-/// How a delta pass spreads a batch's roots over threads. Every driver runs
-/// the same per-root search, so all of them report the same cycles and the
-/// same deterministic work counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaDriver {
-    /// The calling thread sweeps the roots in ascending id order.
-    Sequential,
-    /// Pool workers claim whole shards; each claimed shard sweeps, in
-    /// ascending id order, the roots whose source vertex it owns
-    /// ([`ShardSpec::owner`]). Ownership partitions the roots, and a cycle
-    /// is reported only by the search rooted at its maximum edge, so a cycle
-    /// whose path crosses shards is still reported once, by the shard owning
-    /// that edge; the searches read sibling shards' adjacency directly, with
-    /// no stitching step. Per-shard attribution is returned in
-    /// [`RunStats::shards`], and the run is tagged
-    /// [`Granularity::Sequential`]: sharding parallelises across shards, not
-    /// inside a root.
-    Sharded(ShardSpec),
-    /// Pool workers claim one root at a time from a dynamic counter (§4 of
-    /// the paper).
-    Coarse,
-    /// Pool workers claim roots and, once the roots are gone, steal branches
-    /// off running searches (copy-on-steal, §5 of the paper).
-    Fine,
+/// The granularity a streaming engine runs one batch of `roots` roots on:
+/// the `requested` one on `threads` workers, degraded to sequential when
+/// there is nothing to spread. Coarse-grained degrades on single-root
+/// batches (one task per root cannot occupy a second worker); the
+/// fine-grained driver splits *within* a root, so a single hot root is
+/// exactly where it must stay parallel.
+pub(crate) fn for_batch(requested: Granularity, threads: usize, roots: usize) -> Granularity {
+    if threads <= 1 || roots == 0 || (requested == Granularity::CoarseGrained && roots == 1) {
+        Granularity::Sequential
+    } else {
+        requested
+    }
 }
 
-impl DeltaDriver {
-    /// The driver a streaming engine runs one batch of `roots` roots on: the
-    /// `requested` granularity on `threads` workers over a window sharded as
-    /// `shards`, degraded to sequential when there is nothing to spread.
-    /// Coarse-grained degrades on single-root batches (one task per root
-    /// cannot occupy a second worker); the fine-grained driver splits
-    /// *within* a root, so a single hot root is exactly where it must stay
-    /// parallel. A sequential request on a sharded multi-threaded engine
-    /// runs shard-parallel; the other granularities already decompose below
-    /// shard level and ignore the shard layout.
-    pub(crate) fn for_batch(
-        requested: Granularity,
-        threads: usize,
-        shards: ShardSpec,
-        roots: usize,
-    ) -> Self {
-        if threads <= 1 || roots == 0 {
-            return DeltaDriver::Sequential;
-        }
-        match requested {
-            Granularity::Sequential if !shards.is_single() => DeltaDriver::Sharded(shards),
-            Granularity::CoarseGrained if roots > 1 => DeltaDriver::Coarse,
-            Granularity::FineGrained => DeltaDriver::Fine,
-            _ => DeltaDriver::Sequential,
-        }
-    }
-
-    /// The number of scratches a run of this driver needs on a pool of
-    /// `threads` workers: one per worker, or one for the sequential sweep.
-    pub(crate) fn scratches(self, threads: usize) -> usize {
-        if self == DeltaDriver::Sequential {
-            1
-        } else {
-            threads
-        }
-    }
-
-    fn granularity(self) -> Granularity {
-        match self {
-            DeltaDriver::Sequential | DeltaDriver::Sharded(_) => Granularity::Sequential,
-            DeltaDriver::Coarse => Granularity::CoarseGrained,
-            DeltaDriver::Fine => Granularity::FineGrained,
-        }
+/// The number of scratches a run at `granularity` needs on a pool of
+/// `threads` workers: one per worker, or one for the sequential sweep.
+pub(crate) fn scratches(granularity: Granularity, threads: usize) -> usize {
+    if granularity == Granularity::Sequential {
+        1
+    } else {
+        threads
     }
 }
 
@@ -243,8 +194,9 @@ impl DeltaDriver {
 pub struct DeltaPlan<'a> {
     /// The cycle definition and its window / length constraints.
     pub kind: DeltaKind,
-    /// How the roots spread over threads.
-    pub driver: DeltaDriver,
+    /// The driver that spreads the roots over threads (see the [module
+    /// docs](self#one-plan-one-search-three-drivers)).
+    pub granularity: Granularity,
     /// Roots below it are skipped and edges below it are never admissible
     /// (see the [module docs](self#the-floor)).
     pub floor: Timestamp,
@@ -269,7 +221,7 @@ pub struct DeltaPlan<'a> {
 /// free). Each must cover `graph.num_vertices()` (see
 /// [`RootScratch::ensure_vertices`]); the sequential driver uses the first,
 /// the others one per pool worker. `pool` is ignored by
-/// [`DeltaDriver::Sequential`] and required by every other driver.
+/// [`Granularity::Sequential`] and required by the other drivers.
 ///
 /// Under [`Algorithm::ReadTarjan`] each branch that could continue the path
 /// first runs a completion probe: a depth-first walk, over the edges the
@@ -294,11 +246,11 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
     scratches: &mut [RootScratch],
 ) -> RunStats {
     let start = Instant::now();
-    let pool = (plan.driver != DeltaDriver::Sequential)
-        .then(|| pool.expect("the sharded, coarse and fine drivers run on a pool"));
+    let pool = (plan.granularity != Granularity::Sequential)
+        .then(|| pool.expect("the coarse and fine drivers run on a pool"));
     let threads = pool.map_or(1, ThreadPool::num_threads);
     assert!(
-        scratches.len() >= plan.driver.scratches(threads),
+        scratches.len() >= self::scratches(plan.granularity, threads),
         "need one scratch per pool worker"
     );
     let metrics = WorkMetrics::new(threads);
@@ -314,13 +266,9 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
         push: Pushdown::of(plan.predicate),
         probe,
     };
-    let mut shards = Vec::new();
-    match (plan.driver, pool) {
-        (DeltaDriver::Sharded(spec), Some(pool)) => {
-            shards = pass.sweep_shards(spec, roots, sink, pool, scratches);
-        }
-        (DeltaDriver::Coarse, Some(pool)) => pass.sweep_claimed(roots, pool, scratches),
-        (DeltaDriver::Fine, Some(pool)) => pass.run_fine(roots, pool, scratches),
+    match (plan.granularity, pool) {
+        (Granularity::CoarseGrained, Some(pool)) => pass.sweep_claimed(roots, pool, scratches),
+        (Granularity::FineGrained, Some(pool)) => pass.run_fine(roots, pool, scratches),
         _ => pass.sweep(roots, &mut scratches[0], 0),
     }
     RunStats {
@@ -328,7 +276,6 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
         wall_secs: start.elapsed().as_secs_f64(),
         work: metrics.snapshot(),
         threads,
-        shards,
         ..RunStats::default()
     }
     .tagged(
@@ -337,12 +284,12 @@ pub fn run<G: GraphView + ?Sized, S: CycleSink>(
         } else {
             Algorithm::Johnson
         },
-        plan.driver.granularity(),
+        plan.granularity,
     )
 }
 
 /// A sequential simple-cycle pass over `roots` on caller-owned scratch:
-/// [`run`] with [`DeltaDriver::Sequential`].
+/// [`run`] with [`Granularity::Sequential`].
 pub fn delta_simple_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
     graph: &G,
     roots: Range<EdgeId>,
@@ -354,7 +301,7 @@ pub fn delta_simple_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
 ) -> RunStats {
     let plan = DeltaPlan {
         kind: DeltaKind::Simple(*opts),
-        driver: DeltaDriver::Sequential,
+        granularity: Granularity::Sequential,
         floor,
         predicate,
         algorithm: Algorithm::Johnson,
@@ -370,7 +317,7 @@ pub fn delta_simple_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
 }
 
 /// A sequential temporal-cycle pass over `roots` on caller-owned scratch:
-/// [`run`] with [`DeltaDriver::Sequential`].
+/// [`run`] with [`Granularity::Sequential`].
 pub fn delta_temporal_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
     graph: &G,
     roots: Range<EdgeId>,
@@ -382,7 +329,7 @@ pub fn delta_temporal_with_scratch<G: GraphView + ?Sized, S: CycleSink>(
 ) -> RunStats {
     let plan = DeltaPlan {
         kind: DeltaKind::Temporal(*opts),
-        driver: DeltaDriver::Sequential,
+        granularity: Granularity::Sequential,
         floor,
         predicate,
         algorithm: Algorithm::Johnson,
@@ -744,28 +691,6 @@ impl<'g> FineSearch<'g> {
     }
 }
 
-/// A sink adaptor attributing accepted cycles to one shard: forwards every
-/// push to the shared inner sink and bumps the shard's counter. The counter
-/// assumes a non-halting inner sink (the streaming engine's counting and
-/// collecting sinks never return `Break`); under an early-stopping sink the
-/// per-shard attribution may over-count by in-flight pushes, exactly like
-/// the global count across workers.
-struct ShardCountingSink<'a, S> {
-    inner: &'a S,
-    cycles: &'a AtomicU64,
-}
-
-impl<S: CycleSink> CycleSink for ShardCountingSink<'_, S> {
-    fn push(&self, vertices: &[VertexId], edges: &[EdgeId]) -> std::ops::ControlFlow<()> {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-        self.inner.push(vertices, edges)
-    }
-
-    fn count(&self) -> u64 {
-        self.inner.count()
-    }
-}
-
 /// The constants of one delta pass, shared by every worker and search of
 /// its run.
 struct Pass<'a, G: ?Sized, S> {
@@ -1085,90 +1010,6 @@ impl<'a, G: GraphView + ?Sized, S: CycleSink> Pass<'a, G, S> {
         });
     }
 
-    /// The sharded driver (see [`DeltaDriver::Sharded`]): pool workers claim
-    /// shards from a dynamic counter and sweep each claimed shard's roots
-    /// through a sink that attributes its cycles to the shard. Returns the
-    /// per-shard attribution.
-    fn sweep_shards(
-        &self,
-        spec: ShardSpec,
-        roots: Range<EdgeId>,
-        sink: &S,
-        pool: &ThreadPool,
-        scratches: &mut [RootScratch],
-    ) -> Vec<ShardStats> {
-        let nshards = spec.shards();
-        let counter = DynamicCounter::new(nshards, 1);
-        let shard_cycles: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-        let shard_roots: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-        // A sink's Break latches per shard (each shard wraps its own
-        // HaltingSink); this flag propagates the stop to shards other workers
-        // are sweeping.
-        let stop = AtomicBool::new(false);
-
-        pool.scope(|scope| {
-            for scratch in scratches[..pool.num_threads().min(nshards)].iter_mut() {
-                let (counter, stop) = (&counter, &stop);
-                let (shard_cycles, shard_roots) = (&shard_cycles, &shard_roots);
-                let roots = roots.clone();
-                scope.spawn(move |_, ctx| {
-                    let worker = ctx.worker_id();
-                    while let Some(s) = counter.next() {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let shard_sink = ShardCountingSink {
-                            inner: sink,
-                            cycles: &shard_cycles[s],
-                        };
-                        let halting = HaltingSink::new(&shard_sink);
-                        let mut owned = 0u64;
-                        let owned_roots = roots
-                            .clone()
-                            .take_while(|_| !stop.load(Ordering::Relaxed))
-                            .filter(|&root| spec.owner(self.graph.edge(root).src) == s)
-                            .inspect(|_| owned += 1);
-                        self.with_sink(&halting).sweep(owned_roots, scratch, worker);
-                        shard_roots[s].store(owned, Ordering::Relaxed);
-                        if halting.stopped() {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        self.metrics.add_busy(worker, t0.elapsed());
-                    }
-                });
-            }
-        });
-
-        shard_roots
-            .iter()
-            .zip(&shard_cycles)
-            .enumerate()
-            .map(|(shard, (r, c))| ShardStats {
-                shard,
-                roots: r.load(Ordering::Relaxed),
-                cycles: c.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// This pass reporting to `sink` instead.
-    fn with_sink<'b, T>(&self, sink: &'b HaltingSink<'b, T>) -> Pass<'b, G, T>
-    where
-        'a: 'b,
-    {
-        Pass {
-            graph: self.graph,
-            sink,
-            metrics: self.metrics,
-            kind: self.kind,
-            floor: self.floor,
-            predicate: self.predicate,
-            push: self.push,
-            probe: self.probe,
-        }
-    }
-
     /// Runs a registered search to completion on the calling worker through
     /// [`step`](Self::step), while thieves split the shallowest frame off
     /// through [`FineSearch::split`]. The owner keeps the search's lock
@@ -1293,10 +1134,10 @@ mod tests {
         0..g.num_edges() as EdgeId
     }
 
-    fn plan(kind: DeltaKind, driver: DeltaDriver, predicate: &CyclePredicate) -> DeltaPlan<'_> {
+    fn plan(kind: DeltaKind, driver: Granularity, predicate: &CyclePredicate) -> DeltaPlan<'_> {
         DeltaPlan {
             kind,
-            driver,
+            granularity: driver,
             floor: Timestamp::MIN,
             predicate,
             algorithm: Algorithm::Johnson,
@@ -1319,7 +1160,7 @@ mod tests {
     }
 
     /// Every driver with the pool it is tested on: sequential once, and
-    /// sharded (3 shards), coarse and fine on 1, 2 and 4 workers.
+    /// coarse and fine on 1, 2 and 4 workers.
     struct Drivers {
         pools: Vec<ThreadPool>,
     }
@@ -1331,13 +1172,9 @@ mod tests {
             }
         }
 
-        fn iter(&self) -> impl Iterator<Item = (DeltaDriver, &ThreadPool)> {
-            let parallel = [
-                DeltaDriver::Sharded(ShardSpec::new(3)),
-                DeltaDriver::Coarse,
-                DeltaDriver::Fine,
-            ];
-            std::iter::once((DeltaDriver::Sequential, &self.pools[0])).chain(
+        fn iter(&self) -> impl Iterator<Item = (Granularity, &ThreadPool)> {
+            let parallel = [Granularity::CoarseGrained, Granularity::FineGrained];
+            std::iter::once((Granularity::Sequential, &self.pools[0])).chain(
                 self.pools
                     .iter()
                     .flat_map(move |pool| parallel.map(|driver| (driver, pool))),
@@ -1346,7 +1183,7 @@ mod tests {
     }
 
     /// The label of one driver run in assertion messages.
-    fn label(driver: DeltaDriver, pool: &ThreadPool) -> String {
+    fn label(driver: Granularity, pool: &ThreadPool) -> String {
         format!("{driver:?} on {} workers", pool.num_threads())
     }
 
@@ -1440,12 +1277,12 @@ mod tests {
             };
             let seq_pool = &drivers.pools[0];
             let johnson = CollectingSink::new();
-            let plan_j = plan(kind, DeltaDriver::Sequential, &pass_all);
+            let plan_j = plan(kind, Granularity::Sequential, &pass_all);
             let j = run_on(&g, &plan_j, all_roots(&g), &johnson, seq_pool).work;
             let seq = CollectingSink::new();
             let seq_stats = run_on(
                 &g,
-                &rt_plan(DeltaDriver::Sequential),
+                &rt_plan(Granularity::Sequential),
                 all_roots(&g),
                 &seq,
                 seq_pool,
@@ -1624,7 +1461,7 @@ mod tests {
                 let seq = CollectingSink::new();
                 let seq_stats = run_on(
                     g,
-                    &plan_for(DeltaDriver::Sequential),
+                    &plan_for(Granularity::Sequential),
                     all_roots(g),
                     &seq,
                     &drivers.pools[0],
@@ -1640,20 +1477,13 @@ mod tests {
                         "case {i} floor {floor} {run}"
                     );
                     assert_same_work(&seq_stats, &stats);
-                    let threads = if driver == DeltaDriver::Sequential {
+                    let threads = if driver == Granularity::Sequential {
                         1
                     } else {
                         pool.num_threads()
                     };
                     assert_eq!(stats.threads, threads, "{run}");
-                    assert_eq!(stats.granularity, Some(driver.granularity()), "{run}");
-                    if let DeltaDriver::Sharded(spec) = driver {
-                        assert_eq!(stats.shards.len(), spec.shards(), "{run}");
-                        let roots: u64 = stats.shards.iter().map(|s| s.roots).sum();
-                        let cycles: u64 = stats.shards.iter().map(|s| s.cycles).sum();
-                        assert_eq!(roots, g.num_edges() as u64, "{run}");
-                        assert_eq!(cycles, stats.cycles, "{run}");
-                    }
+                    assert_eq!(stats.granularity, Some(driver), "{run}");
                 }
             }
         }
@@ -1672,7 +1502,7 @@ mod tests {
         let temporal = DeltaKind::Temporal(TemporalCycleOptions::with_window(100));
         let pass_all = CyclePredicate::pass_all();
         let all = CollectingSink::new();
-        let plan_all = plan(simple, DeltaDriver::Sequential, &pass_all);
+        let plan_all = plan(simple, Granularity::Sequential, &pass_all);
         run_on(&g, &plan_all, all_roots(&g), &all, &seq_pool);
         let all = all.into_cycles();
         let mut totals: Vec<Amount> = all
@@ -1698,7 +1528,7 @@ mod tests {
             let seq = CollectingSink::new();
             let seq_stats = run_on(
                 &g,
-                &plan(simple, DeltaDriver::Sequential, p),
+                &plan(simple, Granularity::Sequential, p),
                 all_roots(&g),
                 &seq,
                 &seq_pool,
@@ -1706,7 +1536,7 @@ mod tests {
             let seq_t = CollectingSink::new();
             let seq_t_stats = run_on(
                 &g,
-                &plan(temporal, DeltaDriver::Sequential, p),
+                &plan(temporal, Granularity::Sequential, p),
                 all_roots(&g),
                 &seq_t,
                 &seq_pool,
@@ -1719,7 +1549,7 @@ mod tests {
             for run in 0..3 {
                 for (kind, seq_stats) in [(simple, &seq_stats), (temporal, &seq_t_stats)] {
                     let fine = CollectingSink::new();
-                    let plan = plan(kind, DeltaDriver::Fine, p);
+                    let plan = plan(kind, Granularity::FineGrained, p);
                     let stats = run_on(&g, &plan, all_roots(&g), &fine, &pool);
                     assert_eq!(
                         seq.canonical_cycles(),
@@ -1734,7 +1564,7 @@ mod tests {
             let first = FirstKSink::new(5);
             run_on(
                 &g,
-                &plan(simple, DeltaDriver::Fine, p),
+                &plan(simple, Granularity::FineGrained, p),
                 all_roots(&g),
                 &first,
                 &pool,
@@ -1822,41 +1652,33 @@ mod tests {
     }
 
     /// The driver rule both streaming engines share:
-    /// `(requested, threads, shards, roots) → driver`.
+    /// `(requested, threads, roots) → granularity`.
     #[test]
-    fn for_batch_degrades_and_shards_like_the_engines() {
-        use DeltaDriver::{Coarse, Fine, Sequential, Sharded};
-        use Granularity::{CoarseGrained, FineGrained};
-        let single = ShardSpec::single();
-        let four = ShardSpec::new(4);
+    fn for_batch_degrades_like_the_engines() {
+        use Granularity::{CoarseGrained, FineGrained, Sequential};
         let cases = [
             // One thread or an empty batch: sequential.
-            (Granularity::Sequential, 1, single, 5, Sequential),
-            (Granularity::Sequential, 1, four, 5, Sequential),
-            (Granularity::Sequential, 4, four, 0, Sequential),
-            (CoarseGrained, 1, single, 5, Sequential),
-            (CoarseGrained, 4, single, 0, Sequential),
-            (FineGrained, 1, single, 5, Sequential),
-            (FineGrained, 4, four, 0, Sequential),
-            // A sequential request shards on a sharded multi-threaded engine.
-            (Granularity::Sequential, 4, single, 5, Sequential),
-            (Granularity::Sequential, 4, four, 1, Sharded(four)),
-            (Granularity::Sequential, 2, four, 5, Sharded(four)),
-            // Coarse drops to sequential on a single root, and never shards.
-            (CoarseGrained, 4, single, 1, Sequential),
-            (CoarseGrained, 4, four, 1, Sequential),
-            (CoarseGrained, 4, single, 2, Coarse),
-            (CoarseGrained, 4, four, 5, Coarse),
-            // Fine stays parallel on a single hot root, and never shards.
-            (FineGrained, 4, single, 1, Fine),
-            (FineGrained, 4, four, 5, Fine),
+            (Sequential, 1, 5, Sequential),
+            (Sequential, 4, 0, Sequential),
+            (CoarseGrained, 1, 5, Sequential),
+            (CoarseGrained, 4, 0, Sequential),
+            (FineGrained, 1, 5, Sequential),
+            (FineGrained, 4, 0, Sequential),
+            (Sequential, 4, 5, Sequential),
+            // Coarse drops to sequential on a single root.
+            (CoarseGrained, 4, 1, Sequential),
+            (CoarseGrained, 4, 2, CoarseGrained),
+            (CoarseGrained, 4, 5, CoarseGrained),
+            // Fine stays parallel on a single hot root.
+            (FineGrained, 4, 1, FineGrained),
+            (FineGrained, 4, 5, FineGrained),
         ];
-        for (requested, threads, shards, roots, expected) in cases {
-            let driver = DeltaDriver::for_batch(requested, threads, shards, roots);
-            let case = format!("{requested:?} threads {threads} {shards:?} roots {roots}");
-            assert_eq!(driver, expected, "{case}");
-            let scratches = if expected == Sequential { 1 } else { threads };
-            assert_eq!(driver.scratches(threads), scratches, "{case}");
+        for (requested, threads, roots, expected) in cases {
+            let granularity = for_batch(requested, threads, roots);
+            let case = format!("{requested:?} threads {threads} roots {roots}");
+            assert_eq!(granularity, expected, "{case}");
+            let scratches_needed = if expected == Sequential { 1 } else { threads };
+            assert_eq!(scratches(granularity, threads), scratches_needed, "{case}");
         }
     }
 
@@ -1876,7 +1698,7 @@ mod tests {
         let sink = crate::testing::SpreadGate::new();
         let stats = run_on(
             &g,
-            &plan(simple, DeltaDriver::Fine, &pass_all),
+            &plan(simple, Granularity::FineGrained, &pass_all),
             all_roots(&g),
             &sink,
             &pool,
@@ -1913,7 +1735,7 @@ mod tests {
         let temporal = DeltaKind::Temporal(TemporalCycleOptions::with_window(1_000));
         run_on(
             &g,
-            &plan(temporal, DeltaDriver::Fine, &pass_all),
+            &plan(temporal, Granularity::FineGrained, &pass_all),
             all_roots(&g),
             &sink,
             &pool,
@@ -1937,6 +1759,11 @@ mod tests {
                 0
             }
         }
+        const DRIVERS: [Granularity; 3] = [
+            Granularity::FineGrained,
+            Granularity::CoarseGrained,
+            Granularity::Sequential,
+        ];
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             // One cycle: exactly one worker panics, the others stay idle.
@@ -1948,12 +1775,7 @@ mod tests {
             let pool = ThreadPool::new(4);
             let pass_all = CyclePredicate::pass_all();
             let kind = DeltaKind::Simple(SimpleCycleOptions::unconstrained());
-            for driver in [
-                DeltaDriver::Fine,
-                DeltaDriver::Coarse,
-                DeltaDriver::Sharded(ShardSpec::new(3)),
-                DeltaDriver::Sequential,
-            ] {
+            for driver in DRIVERS {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     run_on(
                         &g,
@@ -1966,7 +1788,7 @@ mod tests {
                 let _ = tx.send((driver, result.is_err()));
             }
         });
-        for _ in 0..4 {
+        for _ in DRIVERS {
             let (driver, panicked) = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("the run hung after its sink panicked");
@@ -2011,7 +1833,7 @@ mod tests {
         let pass_all = CyclePredicate::pass_all();
         run_on(
             &g,
-            &plan(kind, DeltaDriver::Sequential, &pass_all),
+            &plan(kind, Granularity::Sequential, &pass_all),
             all_roots(&g),
             &all,
             &drivers.pools[0],
@@ -2111,13 +1933,13 @@ mod tests {
 
         let all = CollectingSink::new();
         let pass_all = CyclePredicate::pass_all();
-        let seq_plan = plan(kind, DeltaDriver::Sequential, &pass_all);
+        let seq_plan = plan(kind, Granularity::Sequential, &pass_all);
         run_on(&g, &seq_plan, all_roots(&g), &all, &drivers.pools[0]);
         let expected = post_filtered(&g, all.into_cycles(), &predicate);
         assert_eq!(expected.len(), planted, "only the planted chains survive");
 
         let seq = CollectingSink::new();
-        let seq_plan = plan(kind, DeltaDriver::Sequential, &predicate);
+        let seq_plan = plan(kind, Granularity::Sequential, &predicate);
         let seq_stats = run_on(&g, &seq_plan, all_roots(&g), &seq, &drivers.pools[0]);
         assert_eq!(seq.canonical_cycles(), expected);
         assert!(
@@ -2127,7 +1949,7 @@ mod tests {
 
         // The prune counters are data-deterministic: identical across every
         // driver and thread count.
-        for (driver, pool) in drivers.iter().chain([(DeltaDriver::Fine, &pool8)]) {
+        for (driver, pool) in drivers.iter().chain([(Granularity::FineGrained, &pool8)]) {
             let sink = CollectingSink::new();
             let stats = run_on(
                 &g,
@@ -2143,7 +1965,7 @@ mod tests {
         let first = FirstKSink::new(1);
         run_on(
             &g,
-            &plan(kind, DeltaDriver::Fine, &predicate),
+            &plan(kind, Granularity::FineGrained, &predicate),
             all_roots(&g),
             &first,
             &pool8,

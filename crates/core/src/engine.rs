@@ -39,7 +39,7 @@
 //! [`Query::algorithm`]).
 
 use crate::cycle::{ChannelSink, CollectingSink, CountingSink, CycleSink, FirstKSink};
-use crate::delta::{self, DeltaDriver, DeltaKind, DeltaPlan};
+use crate::delta::{self, DeltaKind, DeltaPlan};
 use crate::metrics::RunStats;
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
 use crate::par::coarse::{coarse_johnson_simple, coarse_read_tarjan_simple, coarse_tiernan_simple};
@@ -602,19 +602,15 @@ impl Engine {
         graph: &TemporalGraph,
         sink: &S,
     ) -> RunStats {
-        let driver = match query.granularity {
-            Granularity::Sequential => DeltaDriver::Sequential,
-            Granularity::CoarseGrained => DeltaDriver::Coarse,
-            Granularity::FineGrained => DeltaDriver::Fine,
-        };
-        let pool = (driver != DeltaDriver::Sequential).then(|| self.pool().as_ref());
+        let granularity = query.granularity;
+        let pool = (granularity != Granularity::Sequential).then(|| self.pool().as_ref());
         let threads = pool.map_or(1, ThreadPool::num_threads);
-        let mut scratches: Vec<RootScratch> = (0..driver.scratches(threads))
+        let mut scratches: Vec<RootScratch> = (0..delta::scratches(granularity, threads))
             .map(|_| RootScratch::new(graph.num_vertices()))
             .collect();
         let plan = DeltaPlan {
             kind: DeltaKind::Temporal(query.temporal_options(graph)),
-            driver,
+            granularity,
             floor: Timestamp::MIN,
             predicate: &CyclePredicate::pass_all(),
             algorithm: query.algorithm,

@@ -10,8 +10,8 @@
 //! | Tiernan (brute force) | [`seq::tiernan`] | — | — |
 //! | Johnson | [`seq::johnson`] | [`par::coarse`] | [`par::fine_johnson`] |
 //! | Read-Tarjan | [`seq::read_tarjan`] | [`par::coarse`] | [`par::fine_read_tarjan`] |
-//! | Temporal (Johnson, or Read-Tarjan with a completion probe) | [`delta::run`] over every edge with [`DeltaDriver::Sequential`](delta::DeltaDriver::Sequential) ([`seq::temporal`] keeps the 2SCENT stand-in) | … with [`DeltaDriver::Coarse`](delta::DeltaDriver::Coarse) | … with [`DeltaDriver::Fine`](delta::DeltaDriver::Fine) |
-//! | Delta (max-edge-rooted, streaming) | [`delta::run`] with [`DeltaDriver::Sequential`](delta::DeltaDriver::Sequential) / [`Sharded`](delta::DeltaDriver::Sharded) | … with [`DeltaDriver::Coarse`](delta::DeltaDriver::Coarse) | … with [`DeltaDriver::Fine`](delta::DeltaDriver::Fine) |
+//! | Temporal (Johnson, or Read-Tarjan with a completion probe) | [`delta::run`] over every edge at [`Granularity::Sequential`] ([`seq::temporal`] keeps the 2SCENT stand-in) | … at [`Granularity::CoarseGrained`] | … at [`Granularity::FineGrained`] |
+//! | Delta (max-edge-rooted, streaming) | [`delta::run`] at [`Granularity::Sequential`] | … at [`Granularity::CoarseGrained`] | … at [`Granularity::FineGrained`] |
 //! | Multi-query subscriptions (one shared delta pass, per-query fan-out) | [`MultiStreamingEngine`] at [`Granularity::Sequential`] | … at [`Granularity::CoarseGrained`] (default) | … at [`Granularity::FineGrained`] (via [`MultiStreamingEngine::with_granularity`]) |
 //!
 //! All enumerators share the same problem definitions (see [`cycle`]), report
@@ -82,7 +82,7 @@ pub use engine::{
     Algorithm, CollectMode, CycleKind, CycleStream, Engine, EnumerationError, EnumerationResult,
     Granularity, Query,
 };
-pub use metrics::{LatencyStats, RunStats, ShardStats, WorkMetrics, WorkSnapshot, WorkerWork};
+pub use metrics::{LatencyStats, RunStats, WorkMetrics, WorkSnapshot, WorkerWork};
 pub use options::{SimpleCycleOptions, TemporalCycleOptions};
 pub use streaming::{
     BatchReport, CohortBatchStats, CohortKey, FanOutReport, FanOutStrategy, MultiBatchReport,
@@ -90,13 +90,10 @@ pub use streaming::{
     SubscriptionIndex, SubscriptionSnapshot, PARALLEL_FAN_OUT_SUBS,
 };
 
-// Predicate and sharding types surface in the streaming API
-// (`StreamingQuery::predicate`, `StreamingQuery::cycle_predicate`,
-// `CohortKey::predicate`, `StreamingQuery::shards`), so re-export them at
-// the root alongside it.
-pub use pce_graph::{
-    CyclePredicate, EdgePredicate, LabelFilter, Position, ShardSpec, VertexFilter,
-};
+// Predicate types surface in the streaming API (`StreamingQuery::predicate`,
+// `StreamingQuery::cycle_predicate`, `CohortKey::predicate`), so re-export
+// them at the root alongside it.
+pub use pce_graph::{CyclePredicate, EdgePredicate, LabelFilter, Position, VertexFilter};
 
 // Re-export the substrate crates so downstream users can depend on `pce-core`
 // alone.

@@ -412,22 +412,6 @@ impl LatencyStats {
     }
 }
 
-/// Per-shard attribution of one sharded delta pass: which slice of the
-/// batch's roots a shard owned and how many cycles closed there. The shard
-/// that owns a cycle's maximum-edge root reports it, so summing `cycles`
-/// over all shards equals the run's total — cross-shard paths are attributed
-/// to the shard of their closing edge, never double-counted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Shard index in `0..shards`.
-    pub shard: usize,
-    /// Batch roots whose source vertex this shard owns.
-    pub roots: u64,
-    /// Cycles closed by this shard's roots (including cross-shard cycles —
-    /// the closing edge decides ownership).
-    pub cycles: u64,
-}
-
 /// The result summary returned by every enumerator: cycle count, wall-clock
 /// time and the work snapshot, tagged with what actually ran.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -447,11 +431,6 @@ pub struct RunStats {
     /// The granularity that effectively executed (see
     /// [`RunStats::algorithm`]).
     pub granularity: Option<Granularity>,
-    /// Per-shard root/cycle attribution. Empty for unsharded runs (every
-    /// driver except the sharded streaming pass); one entry per shard,
-    /// indexed by shard id, when a [`ShardSpec`](pce_graph::ShardSpec) with
-    /// `shards > 1` drove the pass.
-    pub shards: Vec<ShardStats>,
 }
 
 impl RunStats {

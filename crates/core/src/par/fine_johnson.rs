@@ -525,10 +525,10 @@ mod tests {
     fn fig4a_work_is_spread_across_workers() {
         // All 2^(n-2) cycles hang off a single root edge; with 4 workers the
         // fine-grained algorithm must steal branches of that single search.
-        // The graph is sized so the search takes long enough for thieves to
-        // arrive even on a fast machine.
+        // The [`SpreadGate`](crate::testing::SpreadGate) sink makes a
+        // thief's arrival independent of how the executor schedules threads.
         let g = generators::fig4a_exponential_cycles(16);
-        let sink = CountingSink::new();
+        let sink = crate::testing::SpreadGate::new();
         let stats = fine_johnson_simple(
             &g,
             &SimpleCycleOptions::unconstrained(),

@@ -79,7 +79,7 @@
 //! enumeration pipeline ever blocking on a slow consumer.
 
 use crate::cycle::{CollectingSink, CountingSink, Cycle, CycleSink};
-use crate::delta::{self, DeltaDriver, DeltaKind, DeltaPlan};
+use crate::delta::{self, DeltaKind, DeltaPlan};
 use crate::engine::{Algorithm, CollectMode, CycleKind, Engine, EnumerationError, Granularity};
 use crate::metrics::{LatencyStats, RunStats};
 use crate::options::{SimpleCycleOptions, TemporalCycleOptions};
@@ -88,8 +88,8 @@ use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pce_graph::stream::{SlidingWindowGraph, StreamError};
 use pce_graph::{
-    Amount, CyclePredicate, EdgeId, EdgePredicate, GraphView, Label, ShardSpec, TemporalEdge,
-    TemporalGraph, TimeWindow, Timestamp, VertexFilter, VertexId,
+    Amount, CyclePredicate, EdgeId, EdgePredicate, GraphView, Label, TemporalEdge, TemporalGraph,
+    TimeWindow, Timestamp, VertexFilter, VertexId,
 };
 use pce_sched::ThreadPool;
 use std::ops::ControlFlow;
@@ -172,7 +172,6 @@ pub struct StreamingQuery {
     include_self_loops: bool,
     collect: CollectMode,
     predicate: CyclePredicate,
-    shards: ShardSpec,
 }
 
 impl StreamingQuery {
@@ -190,7 +189,6 @@ impl StreamingQuery {
             include_self_loops: false,
             collect: CollectMode::Collect,
             predicate: CyclePredicate::pass_all(),
-            shards: ShardSpec::single(),
         }
     }
 
@@ -326,23 +324,6 @@ impl StreamingQuery {
     /// ([`CyclePredicate::pass_all`] when none were).
     pub fn extended_predicate(&self) -> &CyclePredicate {
         &self.predicate
-    }
-
-    /// Partitions the engine's sliding-window ingest (and, for
-    /// [`Granularity::Sequential`] queries on a multi-threaded engine, the
-    /// per-batch delta pass) across `spec` shards — see
-    /// [`ShardSpec`] and the sharding section of the [module docs](self).
-    /// Purely a parallelism knob: reported cycles are byte-identical for
-    /// every shard count. Defaults to [`ShardSpec::single`] (today's
-    /// unsharded path, exactly).
-    pub fn shards(mut self, spec: ShardSpec) -> Self {
-        self.shards = spec;
-        self
-    }
-
-    /// The shard layout this query asks its [`StreamingEngine`] to run with.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.shards
     }
 
     /// Checks the query for values that can never return anything and for
@@ -541,10 +522,9 @@ impl StreamingEngine {
                 retention,
             });
         }
-        let shards = query.shards;
         Ok(Self {
             engine: Engine::with_threads(threads),
-            graph: SlidingWindowGraph::with_shards(retention, shards),
+            graph: SlidingWindowGraph::new(retention),
             query,
             scratches: Vec::new(),
             batches: 0,
@@ -559,13 +539,11 @@ impl StreamingEngine {
     /// the stream — fully intact.
     pub fn ingest(&mut self, batch: &[TemporalEdge]) -> Result<BatchReport, StreamingError> {
         let t0 = Instant::now();
-        let pool = (self.engine.threads() > 1 && !self.graph.shard_spec().is_single())
-            .then(|| self.engine.pool().as_ref());
-        let delta = self.graph.append_batch_on(batch, pool)?;
+        let delta = self.graph.append_batch(batch)?;
         let ingest_secs = t0.elapsed().as_secs_f64();
 
         let q = &self.query;
-        let (driver, pool) = batch_driver(
+        let (granularity, pool) = batch_driver(
             &self.engine,
             q.granularity,
             &self.graph,
@@ -574,7 +552,7 @@ impl StreamingEngine {
         );
         let plan = DeltaPlan {
             kind: delta_kind(q.kind, q.window_delta, q.max_len, q.include_self_loops),
-            driver,
+            granularity,
             // No floor: `window_delta <= retention` (enforced at
             // construction) guarantees that every edge a root's search can
             // need — timestamps in `[root_ts - δ : root_ts]` — is still
@@ -675,9 +653,9 @@ impl StreamingEngine {
     }
 }
 
-/// Picks the driver one batch's delta pass runs on (see
-/// [`DeltaDriver::for_batch`]), grows `scratches` to what that driver needs
-/// over the graph's vertices, and returns the driver with the pool it runs
+/// Picks the granularity one batch's delta pass runs at (see
+/// [`delta::for_batch`]), grows `scratches` to what that driver needs over
+/// the graph's vertices, and returns the granularity with the pool it runs
 /// on (none for the sequential sweep, which never starts the pool).
 fn batch_driver<'e>(
     engine: &'e Engine,
@@ -685,18 +663,18 @@ fn batch_driver<'e>(
     graph: &SlidingWindowGraph,
     roots: usize,
     scratches: &mut Vec<RootScratch>,
-) -> (DeltaDriver, Option<&'e ThreadPool>) {
+) -> (Granularity, Option<&'e ThreadPool>) {
     let threads = engine.threads();
-    let driver = DeltaDriver::for_batch(requested, threads, graph.shard_spec(), roots);
-    let want = driver.scratches(threads);
+    let granularity = delta::for_batch(requested, threads, roots);
+    let want = delta::scratches(granularity, threads);
     if scratches.len() < want {
         scratches.resize_with(want, || RootScratch::new(0));
     }
     for scratch in scratches.iter_mut() {
         scratch.ensure_vertices(graph.num_vertices());
     }
-    let pool = (driver != DeltaDriver::Sequential).then(|| engine.pool().as_ref());
-    (driver, pool)
+    let pool = (granularity != Granularity::Sequential).then(|| engine.pool().as_ref());
+    (granularity, pool)
 }
 
 /// The cycle definition of a delta pass for a query of `kind` at window
@@ -1883,32 +1861,6 @@ impl MultiStreamingEngine {
         })
     }
 
-    /// Partitions the engine's sliding-window ingest (and, for
-    /// [`Granularity::Sequential`] passes on a multi-threaded engine, the
-    /// shared delta pass) across `spec` shards. Purely a parallelism knob:
-    /// per-query reports are byte-identical for every shard count, and a
-    /// subscription query's own [`StreamingQuery::shards`] setting is
-    /// ignored here — the engine-level layout governs the shared graph.
-    ///
-    /// Must be called before the first batch is ingested (the shard layout
-    /// determines how the window's adjacency is stored).
-    ///
-    /// # Panics
-    /// Panics if any batch has already been ingested.
-    pub fn with_shards(mut self, spec: ShardSpec) -> Self {
-        assert_eq!(
-            self.batches, 0,
-            "shard layout must be chosen before the first batch"
-        );
-        self.graph = SlidingWindowGraph::with_shards(self.retention, spec);
-        self
-    }
-
-    /// The shard layout of the engine's sliding-window graph.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.graph.shard_spec()
-    }
-
     /// Sets the portfolio size from which [`FanOutStrategy::Indexed`] defers
     /// dispatch and runs it as parallel `(cohort, candidate-chunk)` tasks on
     /// the engine's pool (defaults to [`PARALLEL_FAN_OUT_SUBS`] = 64). Below
@@ -2184,9 +2136,7 @@ impl MultiStreamingEngine {
     /// [`subscribe`](Self::subscribe) for the exact semantics).
     pub fn ingest(&mut self, batch: &[TemporalEdge]) -> Result<MultiBatchReport, StreamingError> {
         let t0 = Instant::now();
-        let pool = (self.engine.threads() > 1 && !self.graph.shard_spec().is_single())
-            .then(|| self.engine.pool().as_ref());
-        let delta = self.graph.append_batch_on(batch, pool)?;
+        let delta = self.graph.append_batch(batch)?;
         let ingest_secs = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
@@ -2203,7 +2153,7 @@ impl MultiStreamingEngine {
                     // on the fan-out re-checks alone.
                     pass.predicate = CyclePredicate::pass_all();
                 }
-                let (driver, pool) = batch_driver(
+                let (granularity, pool) = batch_driver(
                     &self.engine,
                     self.granularity,
                     &self.graph,
@@ -2212,7 +2162,7 @@ impl MultiStreamingEngine {
                 );
                 let plan = DeltaPlan {
                     kind: delta_kind(pass.kind, pass.delta, pass.max_len, pass.include_self_loops),
-                    driver,
+                    granularity,
                     floor: Timestamp::MIN,
                     predicate: &pass.predicate,
                     algorithm: Algorithm::Johnson,

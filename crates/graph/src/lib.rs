@@ -28,12 +28,9 @@
 //!   graphs; [`stream`] — the incrementally-maintained [`SlidingWindowGraph`]
 //!   behind the streaming enumeration subsystem.
 //!
-//! The crate is deliberately (almost) free of parallelism: it is a passive
-//! data substrate that is shared read-only (`&TemporalGraph` is `Sync`)
-//! across the worker threads of the scheduler crate. The one exception is
-//! the sharded ingest path of [`stream`] ([`ShardSpec`]), which *borrows* a
-//! caller-provided `pce-sched` pool to run per-shard append/compaction tasks
-//! over disjoint shard memory — the crate still owns no threads.
+//! The crate is free of parallelism: it is a passive data substrate that is
+//! shared read-only (`&TemporalGraph` is `Sync`) across the worker threads
+//! of the scheduler crate, and it neither owns nor borrows any threads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -54,7 +51,7 @@ pub mod window;
 pub use builder::GraphBuilder;
 pub use predicate::{CyclePredicate, EdgePredicate, LabelFilter, Position, VertexFilter};
 pub use stats::GraphStats;
-pub use stream::{DeltaBatch, ShardSpec, SlidingWindowGraph, StreamError};
+pub use stream::{DeltaBatch, SlidingWindowGraph, StreamError};
 pub use temporal::{AdjEntry, TemporalGraph};
 pub use types::{Amount, EdgeId, Label, TemporalEdge, Timestamp, VertexId};
 pub use view::GraphView;

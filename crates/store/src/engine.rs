@@ -5,8 +5,7 @@ use crate::checkpoint::Checkpoint;
 use crate::log::SegmentLog;
 use crate::{SegmentStore, StoreError};
 use pce_core::{
-    FanOutStrategy, Granularity, MultiBatchReport, MultiStreamingEngine, QueryId, ShardSpec,
-    StreamingQuery,
+    FanOutStrategy, Granularity, MultiBatchReport, MultiStreamingEngine, QueryId, StreamingQuery,
 };
 use pce_graph::{TemporalEdge, Timestamp};
 
@@ -33,11 +32,6 @@ pub struct DurableConfig {
     pub granularity: Granularity,
     /// Fan-out strategy.
     pub strategy: FanOutStrategy,
-    /// Ingest shard layout of the wrapped engine (see
-    /// [`MultiStreamingEngine::with_shards`]). Captured in every checkpoint
-    /// (format v3); recovery restores the layout the engine crashed with —
-    /// pre-v3 checkpoints recover as a single shard.
-    pub shards: ShardSpec,
 }
 
 impl Default for DurableConfig {
@@ -48,7 +42,6 @@ impl Default for DurableConfig {
             threads: 0,
             granularity: Granularity::CoarseGrained,
             strategy: FanOutStrategy::default(),
-            shards: ShardSpec::single(),
         }
     }
 }
@@ -93,8 +86,7 @@ impl<S: SegmentStore> DurableMultiStreamingEngine<S> {
         let log = SegmentLog::create(store, cfg.segment_bytes)?;
         let engine = MultiStreamingEngine::with_threads(retention, cfg.threads)?
             .with_granularity(cfg.granularity)
-            .with_fan_out(cfg.strategy)
-            .with_shards(cfg.shards);
+            .with_fan_out(cfg.strategy);
         let mut durable = Self {
             engine,
             log,
@@ -188,7 +180,6 @@ impl<S: SegmentStore> DurableMultiStreamingEngine<S> {
             granularity: self.engine.granularity(),
             strategy: self.engine.fan_out_strategy(),
             next_query_id: self.engine.next_query_id(),
-            shards: self.engine.shard_spec(),
             subscriptions: self.engine.subscription_snapshots(),
         };
         let bytes = ckpt.encode();

@@ -100,6 +100,24 @@ pub enum StoreError {
     /// before any append, twice for the same append, or after the record's
     /// segment was sealed by a rotation or truncation.
     RollbackWithoutAppend,
+    /// [`SegmentLog::append`] got a batch index other than the log's next
+    /// one: the log holds a contiguous sequence.
+    OutOfSequence {
+        /// The index the log expected ([`SegmentLog::next_batch`]).
+        expected: u64,
+        /// The index the append carried.
+        got: u64,
+    },
+    /// An earlier [`SegmentLog::append`] failed part-way and its partial
+    /// record could not be cut off, so the log refuses further appends:
+    /// one would land after the partial record and be lost with it as a
+    /// torn tail on reopen. Reopening the log truncates the partial record.
+    LogPoisoned {
+        /// The segment holding the partial record.
+        segment: u64,
+        /// The segment's length before the failed append.
+        offset: u64,
+    },
     /// The wrapped streaming engine rejected an operation (invalid query,
     /// retention too small, out-of-order batch).
     Streaming(StreamingError),
@@ -119,6 +137,14 @@ impl std::fmt::Display for StoreError {
             StoreError::RollbackWithoutAppend => {
                 write!(f, "rollback_last without a rollback-able append")
             }
+            StoreError::OutOfSequence { expected, got } => {
+                write!(f, "log append of batch {got}, expected batch {expected}")
+            }
+            StoreError::LogPoisoned { segment, offset } => write!(
+                f,
+                "segment {segment} holds a partial record past byte {offset} that could not \
+                 be removed; reopen the log"
+            ),
             StoreError::Streaming(e) => write!(f, "streaming error during recovery: {e}"),
         }
     }

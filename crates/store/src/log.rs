@@ -65,6 +65,9 @@ pub struct SegmentLog<S: SegmentStore> {
     /// `(segment, length before the append)` of the most recent append, for
     /// [`rollback_last`](Self::rollback_last).
     last_append: Option<(u64, u64)>,
+    /// `(segment, length before the append)` of a failed append whose
+    /// partial record could not be removed; every later append refuses.
+    poisoned: Option<(u64, u64)>,
 }
 
 impl<S: SegmentStore> SegmentLog<S> {
@@ -92,6 +95,7 @@ impl<S: SegmentStore> SegmentLog<S> {
             total_bytes: 0,
             next_batch: 0,
             last_append: None,
+            poisoned: None,
         })
     }
 
@@ -148,6 +152,7 @@ impl<S: SegmentStore> SegmentLog<S> {
             total_bytes,
             next_batch: batches.len() as u64,
             last_append: None,
+            poisoned: None,
         };
         let scan = LogScan {
             batches,
@@ -158,23 +163,49 @@ impl<S: SegmentStore> SegmentLog<S> {
     }
 
     /// Appends one batch as a record. `batch_index` must equal
-    /// [`next_batch`](Self::next_batch) — the log is a contiguous sequence.
+    /// [`next_batch`](Self::next_batch) — the log is a contiguous sequence —
+    /// or the append fails with [`StoreError::OutOfSequence`].
+    ///
+    /// A failed write may leave part of the record behind. The segment is
+    /// cut back to its length before the append, because the next record
+    /// would otherwise land after the partial one, and reopening would drop
+    /// it with the torn tail. If that cut fails too, the log is poisoned:
+    /// this and every later append fail with [`StoreError::LogPoisoned`],
+    /// and [`open`](Self::open) (which truncates the torn tail) is the way
+    /// back.
     pub fn append(&mut self, batch_index: u64, edges: &[TemporalEdge]) -> Result<(), StoreError> {
-        assert_eq!(
-            batch_index, self.next_batch,
-            "log batches must be appended contiguously"
-        );
+        if let Some((segment, offset)) = self.poisoned {
+            return Err(StoreError::LogPoisoned { segment, offset });
+        }
+        if batch_index != self.next_batch {
+            return Err(StoreError::OutOfSequence {
+                expected: self.next_batch,
+                got: batch_index,
+            });
+        }
         let payload = encode_batch(edges);
         let mut record = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
         record.extend_from_slice(&batch_index.to_le_bytes());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         record.extend_from_slice(&payload);
         let prev_len = self.current_len;
-        self.store.append_segment(self.current_segment, &record)?;
+        let segment = self.current_segment;
+        if let Err(e) = self.store.append_segment(segment, &record) {
+            let undone = if prev_len == 0 {
+                // The segment may not exist yet; removing it is idempotent.
+                self.store.remove_segment(segment)
+            } else {
+                self.store.truncate_segment(segment, prev_len)
+            };
+            if undone.is_err() {
+                self.poisoned = Some((segment, prev_len));
+            }
+            return Err(e);
+        }
         self.current_len += record.len() as u64;
         self.total_bytes += record.len() as u64;
         self.next_batch += 1;
-        self.last_append = Some((self.current_segment, prev_len));
+        self.last_append = Some((segment, prev_len));
         Ok(())
     }
 
@@ -423,6 +454,145 @@ mod tests {
             Err(StoreError::RollbackWithoutAppend)
         ));
         assert_eq!(log.next_batch(), 1);
+    }
+
+    /// A [`MemoryStore`] whose appends, while `tear_appends` is set, write
+    /// half their bytes and then fail, and whose truncations and removals
+    /// fail while `fail_undo` is set.
+    #[derive(Default)]
+    struct TearingStore {
+        inner: MemoryStore,
+        tear_appends: bool,
+        fail_undo: bool,
+    }
+
+    fn injected(failure: &str) -> StoreError {
+        StoreError::Io(std::io::Error::other(format!("injected {failure}")))
+    }
+
+    impl SegmentStore for TearingStore {
+        fn segment_ids(&self) -> Result<Vec<u64>, StoreError> {
+            self.inner.segment_ids()
+        }
+
+        fn read_segment(&self, id: u64) -> Result<Vec<u8>, StoreError> {
+            self.inner.read_segment(id)
+        }
+
+        fn append_segment(&mut self, id: u64, bytes: &[u8]) -> Result<(), StoreError> {
+            if !self.tear_appends {
+                return self.inner.append_segment(id, bytes);
+            }
+            self.inner.append_segment(id, &bytes[..bytes.len() / 2])?;
+            Err(injected("short write"))
+        }
+
+        fn truncate_segment(&mut self, id: u64, len: u64) -> Result<(), StoreError> {
+            if self.fail_undo {
+                return Err(injected("undo failure"));
+            }
+            self.inner.truncate_segment(id, len)
+        }
+
+        fn remove_segment(&mut self, id: u64) -> Result<(), StoreError> {
+            if self.fail_undo {
+                return Err(injected("undo failure"));
+            }
+            self.inner.remove_segment(id)
+        }
+
+        fn checkpoint_seqs(&self) -> Result<Vec<u64>, StoreError> {
+            self.inner.checkpoint_seqs()
+        }
+
+        fn read_checkpoint(&self, seq: u64) -> Result<Vec<u8>, StoreError> {
+            self.inner.read_checkpoint(seq)
+        }
+
+        fn write_checkpoint(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.write_checkpoint(seq, bytes)
+        }
+    }
+
+    #[test]
+    fn failed_append_does_not_cost_a_later_record() {
+        // Regression: the half-written record stayed on disk, the retry
+        // landed after it, and reopening dropped the retry — an
+        // acknowledged batch — as part of the torn tail.
+        for first_in_segment in [false, true] {
+            let mut log = SegmentLog::create(TearingStore::default(), u64::MAX).unwrap();
+            if !first_in_segment {
+                log.append(0, &[e(0, 1, 1)]).unwrap();
+            }
+            let index = log.next_batch();
+            let bytes = log.total_bytes();
+            log.store_mut().tear_appends = true;
+            assert!(matches!(
+                log.append(index, &[e(1, 2, 2)]),
+                Err(StoreError::Io(_))
+            ));
+            assert_eq!(log.next_batch(), index, "a failed append logs nothing");
+            assert_eq!(log.total_bytes(), bytes);
+            log.store_mut().tear_appends = false;
+            log.append(index, &[e(1, 0, 3)]).unwrap();
+
+            let (log, scan) = SegmentLog::open(log.into_store(), u64::MAX).unwrap();
+            assert_eq!(
+                scan.truncated_bytes, 0,
+                "first_in_segment {first_in_segment}"
+            );
+            assert_eq!(scan.batches.len() as u64, index + 1);
+            assert_eq!(scan.batches[index as usize].1, vec![e(1, 0, 3)]);
+            assert_eq!(log.next_batch(), index + 1);
+        }
+    }
+
+    #[test]
+    fn failed_undo_poisons_the_log_until_reopened() {
+        let mut log = SegmentLog::create(TearingStore::default(), u64::MAX).unwrap();
+        log.append(0, &[e(0, 1, 1)]).unwrap();
+        let bytes = log.total_bytes();
+        log.store_mut().tear_appends = true;
+        log.store_mut().fail_undo = true;
+        assert!(log.append(1, &[e(1, 2, 2)]).is_err());
+        log.store_mut().tear_appends = false;
+        log.store_mut().fail_undo = false;
+        // The partial record is still there, so no append may follow it.
+        for _ in 0..2 {
+            match log.append(1, &[e(1, 0, 3)]) {
+                Err(StoreError::LogPoisoned { segment, offset }) => {
+                    assert_eq!((segment, offset), (0, bytes));
+                }
+                other => panic!("expected a poisoned log, got {other:?}"),
+            }
+        }
+        // Reopening cuts the partial record as a torn tail and the log
+        // continues from the acknowledged prefix.
+        let (mut log, scan) = SegmentLog::open(log.into_store(), u64::MAX).unwrap();
+        assert_eq!(scan.batches.len(), 1);
+        assert!(scan.truncated_bytes > 0);
+        log.append(1, &[e(1, 0, 3)]).unwrap();
+        let (_, scan) = SegmentLog::open(log.into_store(), u64::MAX).unwrap();
+        assert_eq!(scan.batches.len(), 2);
+        assert_eq!(scan.batches[1].1, vec![e(1, 0, 3)]);
+    }
+
+    #[test]
+    fn out_of_sequence_append_is_a_typed_error() {
+        let mut log = SegmentLog::create(MemoryStore::new(), u64::MAX).unwrap();
+        log.append(0, &[e(0, 1, 1)]).unwrap();
+        for got in [0, 2] {
+            match log.append(got, &[e(1, 2, 2)]) {
+                Err(StoreError::OutOfSequence {
+                    expected: 1,
+                    got: g,
+                }) => assert_eq!(g, got),
+                other => panic!("expected out-of-sequence, got {other:?}"),
+            }
+        }
+        assert_eq!(log.next_batch(), 1);
+        let (_, scan) = SegmentLog::open(log.into_store(), u64::MAX).unwrap();
+        assert_eq!(scan.batches.len(), 1);
     }
 
     #[test]

@@ -121,7 +121,6 @@ impl DurabilityConfig {
             threads,
             granularity: Granularity::CoarseGrained,
             strategy: FanOutStrategy::Indexed,
-            shards: pce_core::ShardSpec::single(),
         }
     }
 }

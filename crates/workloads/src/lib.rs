@@ -44,7 +44,6 @@ pub use predicate::{
 };
 pub use streaming::{
     mixed_portfolio, replay_batches, run_independent_portfolio, run_multi_tenant,
-    run_sharded_scale, run_stream_scenario, MultiTenantConfig, MultiTenantReport,
-    ShardedScaleConfig, ShardedScaleRow, StreamBatchRow, StreamScenarioConfig, StreamingReport,
-    TenantRow,
+    run_stream_scenario, MultiTenantConfig, MultiTenantReport, StreamBatchRow,
+    StreamScenarioConfig, StreamingReport, TenantRow,
 };

@@ -16,7 +16,7 @@
 
 use pce_core::{
     CollectMode, FanOutStrategy, Granularity, LatencyStats, MultiStreamingEngine, QueryId,
-    RunStats, ShardSpec, StreamingEngine, StreamingError, StreamingQuery,
+    RunStats, StreamingEngine, StreamingError, StreamingQuery,
 };
 use pce_graph::generators::{self, transaction_rings, TransactionRingConfig};
 use pce_graph::{TemporalEdge, TemporalGraph, Timestamp};
@@ -732,118 +732,6 @@ pub fn run_fan_out_scale(
     })
 }
 
-/// Configuration of the **sharded ingest** scenario: the transaction stream
-/// replayed once per shard count through a [`StreamingEngine`] whose
-/// sliding-window graph is partitioned by [`ShardSpec`], so the edges/sec
-/// curve over `S` measures what hash-by-vertex sharding buys the
-/// append/expiry/delta path. The standing query runs at
-/// [`Granularity::Sequential`] — the granularity whose delta pass the shard
-/// layout parallelises (one task per shard, roots owned by their closing
-/// edge's source vertex); reports are byte-identical at every `S`, which the
-/// runner asserts batch by batch against the `S = 1` run.
-#[derive(Debug, Clone)]
-pub struct ShardedScaleConfig {
-    /// The stream scenario replayed at every shard count.
-    pub base: StreamScenarioConfig,
-    /// The shard counts to sweep, in reporting order (must include 1 first —
-    /// it is the byte-identical baseline the other counts are checked
-    /// against).
-    pub shard_counts: Vec<usize>,
-}
-
-impl Default for ShardedScaleConfig {
-    fn default() -> Self {
-        Self {
-            base: StreamScenarioConfig::default().with_granularity(Granularity::Sequential),
-            shard_counts: vec![1, 2, 4, 8],
-        }
-    }
-}
-
-impl ShardedScaleConfig {
-    /// A seconds-scale configuration for CI smoke runs.
-    pub fn smoke() -> Self {
-        Self {
-            base: StreamScenarioConfig::smoke().with_granularity(Granularity::Sequential),
-            ..Self::default()
-        }
-    }
-}
-
-/// One shard count's measurements in a [`run_sharded_scale`] sweep.
-#[derive(Debug, Clone)]
-pub struct ShardedScaleRow {
-    /// The shard count this row ran with.
-    pub shards: usize,
-    /// The full streaming report of the replay at this shard count.
-    pub report: StreamingReport,
-}
-
-/// Runs the sharded ingest scenario: replays the stream once per configured
-/// shard count (all at the same thread count) and asserts the reports are
-/// byte-identical across shard counts — same per-batch cycle counts, same
-/// live-edge trajectory, same lifetime total — before returning the rows.
-pub fn run_sharded_scale(
-    cfg: &ShardedScaleConfig,
-    threads: usize,
-) -> Result<Vec<ShardedScaleRow>, StreamingError> {
-    let (graph, _planted) = transaction_rings(cfg.base.ring);
-    let batches = replay_batches(&graph, cfg.base.batch_edges);
-
-    let mut rows = Vec::with_capacity(cfg.shard_counts.len());
-    for &shards in &cfg.shard_counts {
-        let query = cfg.base.query().shards(ShardSpec::new(shards));
-        let mut engine = StreamingEngine::with_threads(cfg.base.retention, query, threads)?;
-        let start = std::time::Instant::now();
-        let mut batch_rows = Vec::with_capacity(batches.len());
-        for batch in &batches {
-            let report = engine.ingest(batch)?;
-            batch_rows.push(StreamBatchRow {
-                batch: report.batch,
-                appended: report.appended,
-                expired: report.expired,
-                live_edges: report.live_edges,
-                cycles: report.cycles_found,
-                ingest_secs: report.ingest_secs,
-                enumerate_secs: report.enumerate_secs,
-            });
-        }
-        let wall_secs = start.elapsed().as_secs_f64();
-        rows.push(ShardedScaleRow {
-            shards,
-            report: StreamingReport {
-                threads,
-                rows: batch_rows,
-                total_edges: engine.graph().total_ingested(),
-                total_cycles: engine.total_cycles(),
-                wall_secs,
-            },
-        });
-    }
-
-    // Sharding is a parallelism knob, never a semantics knob: every shard
-    // count must report exactly what the first one did, batch by batch.
-    if let Some((first, rest)) = rows.split_first() {
-        for row in rest {
-            assert_eq!(
-                first.report.total_cycles, row.report.total_cycles,
-                "S={} diverged from S={} on the lifetime cycle total",
-                row.shards, first.shards
-            );
-            for (a, b) in first.report.rows.iter().zip(&row.report.rows) {
-                assert_eq!(
-                    a.cycles, b.cycles,
-                    "S={} diverged from S={} at batch {}",
-                    row.shards, first.shards, a.batch
-                );
-                assert_eq!(a.live_edges, b.live_edges, "batch {}", a.batch);
-                assert_eq!(a.expired, b.expired, "batch {}", a.batch);
-            }
-        }
-    }
-    Ok(rows)
-}
-
 /// The independent-engines baseline for [`run_multi_tenant`]: the same
 /// portfolio over the same stream, but through one dedicated
 /// [`StreamingEngine`] per query — N ingest passes, N delta scans, N pruning
@@ -1073,23 +961,6 @@ mod tests {
         assert_eq!(naive.parallel_batches, 0);
         // The planted rings reach someone in the portfolio.
         assert!(indexed.per_query_cycles.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn sharded_scale_smoke_agrees_across_shard_counts() {
-        // The runner itself asserts per-batch equality across shard counts;
-        // here we additionally pin the sweep against the unsharded reference
-        // scenario and check every row replayed the full stream.
-        let cfg = ShardedScaleConfig::smoke();
-        let rows = run_sharded_scale(&cfg, 2).expect("valid sharded scenario");
-        assert_eq!(rows.len(), cfg.shard_counts.len());
-        assert_eq!(rows[0].shards, 1);
-        let reference = run_stream_scenario(&cfg.base, 1).unwrap();
-        for row in &rows {
-            assert_eq!(row.report.total_cycles, reference.total_cycles);
-            assert_eq!(row.report.total_edges, reference.total_edges);
-            assert!(row.report.sustained_edges_per_sec() > 0.0);
-        }
     }
 
     #[test]

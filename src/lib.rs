@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use pce_graph::{
         generators, CyclePredicate, DeltaBatch, EdgePredicate, GraphBuilder, GraphStats, GraphView,
-        LabelFilter, Position, ShardSpec, SlidingWindowGraph, StreamError, TemporalEdge,
-        TemporalGraph, TimeWindow, VertexFilter,
+        LabelFilter, Position, SlidingWindowGraph, StreamError, TemporalEdge, TemporalGraph,
+        TimeWindow, VertexFilter,
     };
     pub use pce_sched::{ThreadPool, WorkerMetrics};
     pub use pce_store::{

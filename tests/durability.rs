@@ -618,11 +618,10 @@ fn encode_v2(ck: &Checkpoint) -> Vec<u8> {
     buf
 }
 
-/// A store whose newest checkpoint predates the sharded window (v2: predicate
-/// fields, no shard layout) must recover as the single-shard engine it
-/// described — `S = 1` at the engine and on every restored query — keep
-/// serving byte-identical reports, and roundtrip through the **next** crash
-/// in the current v3 format.
+/// A store whose newest checkpoint predates the v3 shard fields (v2:
+/// predicate fields, no shard counts) must recover the registry it
+/// described, keep serving byte-identical reports, and roundtrip through the
+/// **next** crash in the current format.
 #[test]
 fn v2_checkpoint_store_recovers_as_single_shard() {
     let cfg = DurableConfig {
@@ -673,22 +672,10 @@ fn v2_checkpoint_store_recovers_as_single_shard() {
     ck.seq += 1;
     store.write_checkpoint(ck.seq, &encode_v2(&ck)).unwrap();
 
-    // Recovery: no shard layout in the checkpoint means the unsharded engine
-    // it described — S = 1 everywhere — and the stream continues
-    // byte-identically, predicates intact.
+    // Recovery: the stream continues byte-identically, predicates intact.
     let (mut recovered, info) = recover(store, &cfg).unwrap();
     assert_eq!(info.checkpoint_seq, ck.seq, "the v2 checkpoint is newest");
     assert_eq!(info.dropped_batches, 0);
-    assert!(
-        recovered.engine().shard_spec().is_single(),
-        "pre-v3 checkpoints recover as a single shard"
-    );
-    for (_, q) in recovered.engine().subscriptions() {
-        assert!(
-            q.shard_spec().is_single(),
-            "v2 records decode to single-shard queries"
-        );
-    }
     assert_eq!(
         recovered.engine().subscription_snapshots(),
         plain.subscription_snapshots(),
@@ -700,11 +687,10 @@ fn v2_checkpoint_store_recovers_as_single_shard() {
         assert_eq!(project(&x), project(&y));
     }
 
-    // … and survives the *next* crash via the current (v3) format.
+    // … and survives the *next* crash via the current format.
     recovered.checkpoint_now().unwrap();
     let expected = recovered.engine().subscription_snapshots();
     let (after, _) = recover(recovered.into_store(), &cfg).unwrap();
-    assert!(after.engine().shard_spec().is_single());
     assert_eq!(
         after.engine().subscription_snapshots(),
         expected,
@@ -811,9 +797,109 @@ fn v1_checkpoint_store_upgrades_through_recovery() {
     );
 }
 
+/// A store written by an engine that sharded its window: a real v4
+/// checkpoint whose engine shard count reads 4 and every query's reads 2.
+/// Shard counts never changed a report, so recovery must ignore them and
+/// finish the stream byte-identically to the uninterrupted plain twin.
+#[test]
+fn sharded_v4_checkpoint_store_recovers_byte_identically() {
+    use parallel_cycle_enumeration::graph::io::crc32;
+    let cfg = DurableConfig {
+        // No cadence checkpoints: the patched checkpoint must be the newest
+        // one recovery sees.
+        checkpoint_every_batches: u64::MAX,
+        threads: 2,
+        ..DurableConfig::default()
+    };
+    let batches = attribute_stream(&sweep_stream(sweep_seed() ^ 0x54A4, 10));
+    let split = batches.len() / 2;
+
+    let mut durable =
+        DurableMultiStreamingEngine::create(MemoryStore::new(), RETENTION, &cfg).unwrap();
+    let mut plain = MultiStreamingEngine::with_threads(RETENTION, 1).unwrap();
+    for q in [
+        StreamingQuery::temporal(RETENTION),
+        StreamingQuery::simple(25).max_len(5).predicate(
+            EdgePredicate::pass_all()
+                .min_amount(20_000)
+                .labels(LabelFilter::deny(vec![0])),
+        ),
+        StreamingQuery::temporal(20).granularity(Granularity::FineGrained),
+    ] {
+        let a = durable.subscribe(q.clone()).unwrap();
+        let b = plain.subscribe(q).unwrap();
+        assert_eq!(a, b);
+    }
+    for batch in &batches[..split] {
+        let a = durable.ingest(batch).unwrap();
+        let b = plain.ingest(batch).unwrap();
+        assert_eq!(project(&a), project(&b));
+    }
+    durable.checkpoint_now().unwrap();
+
+    // Patch the newest checkpoint's shard counts and re-CRC it, one
+    // sequence number ahead so recovery must pick it.
+    let seq = *durable
+        .log()
+        .store()
+        .checkpoint_seqs()
+        .unwrap()
+        .last()
+        .unwrap();
+    let mut store = durable.into_store();
+    let mut ck = Checkpoint::decode(&store.read_checkpoint(seq).unwrap()).unwrap();
+    ck.seq += 1;
+    let mut bytes = ck.encode();
+    // Record `i` ends where the encoding of the first `i + 1` records ends
+    // (less the CRC). Every record here has a pass-all extended predicate
+    // (26 bytes), and its shard count comes right before it.
+    let body_len = |subs: usize| {
+        let mut head = ck.clone();
+        head.subscriptions.truncate(subs);
+        head.encode().len() - 4
+    };
+    // The engine's count follows magic(4), version(2), five u64/i64 fields
+    // (40), the granularity and strategy bytes (2) and next_query_id (8).
+    let mut patches = vec![(4 + 2 + 40 + 2 + 8, 4u32)];
+    for i in 0..ck.subscriptions.len() {
+        assert!(!ck.subscriptions[i]
+            .query
+            .extended_predicate()
+            .has_cycle_constraints());
+        patches.push((body_len(i + 1) - 26 - 4, 2));
+    }
+    for (at, shards) in patches {
+        assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes(), "offset {at}");
+        bytes[at..at + 4].copy_from_slice(&shards.to_le_bytes());
+    }
+    let body = bytes.len() - 4;
+    let crc = crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    assert_eq!(Checkpoint::decode(&bytes).unwrap(), ck);
+    store.write_checkpoint(ck.seq, &bytes).unwrap();
+
+    let (mut recovered, info) = recover(store, &cfg).unwrap();
+    assert_eq!(
+        info.checkpoint_seq, ck.seq,
+        "the patched checkpoint is newest"
+    );
+    assert_eq!(info.dropped_batches, 0);
+    assert_eq!(
+        recovered.engine().subscription_snapshots(),
+        plain.subscription_snapshots(),
+        "the recovered registry matches the uninterrupted twin"
+    );
+    for batch in &batches[split..] {
+        let x = recovered.ingest(batch).unwrap();
+        let y = plain.ingest(batch).unwrap();
+        assert_eq!(project(&x), project(&y));
+    }
+}
+
 /// Re-encodes a checkpoint in the **v3** on-disk format: predicate and shard
 /// fields present, no extended-predicate records — the layout the encoder
-/// produced before the cycle-predicate algebra existed. Only meaningful for
+/// produced before the cycle-predicate algebra existed, here for an engine
+/// sharded 4 ways and queries asking for 2 shards. Only meaningful for
 /// registries whose extended components are pass-all (all v3 could express).
 fn encode_v3(ck: &Checkpoint) -> Vec<u8> {
     use parallel_cycle_enumeration::graph::io::crc32;
@@ -835,7 +921,7 @@ fn encode_v3(ck: &Checkpoint) -> Vec<u8> {
         FanOutStrategy::Indexed => 1,
     });
     buf.extend_from_slice(&ck.next_query_id.to_le_bytes());
-    buf.extend_from_slice(&(ck.shards.shards() as u32).to_le_bytes());
+    buf.extend_from_slice(&4u32.to_le_bytes());
     buf.extend_from_slice(&(ck.subscriptions.len() as u32).to_le_bytes());
     for sub in &ck.subscriptions {
         let q = &sub.query;
@@ -883,7 +969,7 @@ fn encode_v3(ck: &Checkpoint) -> Vec<u8> {
                 labels(&mut buf, set);
             }
         }
-        buf.extend_from_slice(&(q.shard_spec().shards() as u32).to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());

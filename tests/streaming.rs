@@ -7,9 +7,7 @@
 //! with attribute-filtered subscriptions: every fan-out strategy × pushdown
 //! setting must report byte-identically to dedicated per-query engines, while
 //! pushing the predicate union into the shared pass does strictly less
-//! union-building work than filtering at fan-out. The sharded sweep checks
-//! that partitioning the sliding window across shards is invisible: S ∈
-//! {2, 4} must report byte-identically to the unsharded engine, per batch.
+//! union-building work than filtering at fan-out.
 //!
 //! The seeded sweep takes its base seed from the `PCE_SWEEP_SEED` environment
 //! variable (CI passes one per run and echoes it), so a failure in a CI log
@@ -682,145 +680,6 @@ fn fan_out_index_sweep_is_byte_identical_to_naive_loop() {
         "the K = 64, threads = 4 configurations must exercise the deferred \
          parallel dispatch path"
     );
-}
-
-/// The sharded differential sweep (the tentpole's harness): partitioning the
-/// sliding window across S ∈ {2, 4} shards must be invisible — per batch,
-/// byte-identical canonicalised cycles and counts to the unsharded (S = 1)
-/// engine — across granularities {sequential, coarse, fine}, threads {1, 4}
-/// and retentions with and without mid-stream expiry; likewise for a sharded
-/// [`MultiStreamingEngine`] against its unsharded twin. The final window and
-/// lifetime expiry totals must agree too, so sharding is invisible to the
-/// graph as well as the reports. Base seed from `PCE_SWEEP_SEED` (echoed by
-/// CI; every assertion message carries the seed).
-#[test]
-fn sharded_sweep_is_byte_identical_to_unsharded() {
-    let base = sweep_seed();
-    let portfolio = [
-        StreamingQuery::temporal(25),
-        StreamingQuery::simple(12).max_len(4),
-    ];
-    let mut cycles_seen = 0usize;
-    for seed in base..base + 2 {
-        // One retention without expiry, one that forces it mid-stream.
-        for retention in [10_000i64, 40] {
-            let batches = sweep_stream(seed, 9);
-            for granularity in [
-                Granularity::Sequential,
-                Granularity::CoarseGrained,
-                Granularity::FineGrained,
-            ] {
-                for threads in [1usize, 4] {
-                    let label = format!(
-                        "seed {seed} retention {retention} {granularity:?} threads {threads}"
-                    );
-                    // The single-query engines: unsharded baseline plus one
-                    // engine per shard count.
-                    let query = StreamingQuery::temporal(25).granularity(granularity);
-                    let mut baseline =
-                        StreamingEngine::with_threads(retention, query.clone(), threads)
-                            .expect("valid streaming config");
-                    let mut sharded: Vec<(usize, StreamingEngine)> = [2usize, 4]
-                        .into_iter()
-                        .map(|s| {
-                            let engine = StreamingEngine::with_threads(
-                                retention,
-                                query.clone().shards(ShardSpec::new(s)),
-                                threads,
-                            )
-                            .expect("valid streaming config");
-                            (s, engine)
-                        })
-                        .collect();
-                    // The multi-query engines: same portfolio, engine-level
-                    // shard layout chosen before the first batch.
-                    let mut multi_base = MultiStreamingEngine::with_threads(retention, threads)
-                        .expect("valid retention")
-                        .with_granularity(granularity);
-                    let ids: Vec<QueryId> = portfolio
-                        .iter()
-                        .map(|q| multi_base.subscribe(q.clone()).expect("valid subscription"))
-                        .collect();
-                    let mut multi_sharded: Vec<(usize, MultiStreamingEngine)> = [2usize, 4]
-                        .into_iter()
-                        .map(|s| {
-                            let mut engine = MultiStreamingEngine::with_threads(retention, threads)
-                                .expect("valid retention")
-                                .with_granularity(granularity)
-                                .with_shards(ShardSpec::new(s));
-                            for q in &portfolio {
-                                engine.subscribe(q.clone()).expect("valid subscription");
-                            }
-                            (s, engine)
-                        })
-                        .collect();
-                    for (b, batch) in batches.iter().enumerate() {
-                        let want = baseline.ingest(batch).expect("in-order replay");
-                        let want_cycles = sort_canonical(&want.cycles);
-                        for (s, engine) in &mut sharded {
-                            let got = engine.ingest(batch).expect("in-order replay");
-                            assert_eq!(
-                                got.cycles_found, want.cycles_found,
-                                "{label} shards {s} batch {b}"
-                            );
-                            assert_eq!(
-                                sort_canonical(&got.cycles),
-                                want_cycles,
-                                "{label} shards {s} batch {b}"
-                            );
-                        }
-                        cycles_seen += want.cycles.len();
-                        let multi_want = multi_base.ingest(batch).expect("in-order replay");
-                        for (s, engine) in &mut multi_sharded {
-                            let multi_got = engine.ingest(batch).expect("in-order replay");
-                            for id in &ids {
-                                let a = multi_want.report(*id).expect("subscribed");
-                                let c = multi_got.report(*id).expect("subscribed");
-                                assert_eq!(
-                                    c.cycles_found, a.cycles_found,
-                                    "{label} shards {s} query {id} batch {b}"
-                                );
-                                assert_eq!(
-                                    sort_canonical(&c.cycles),
-                                    sort_canonical(&a.cycles),
-                                    "{label} shards {s} query {id} batch {b}"
-                                );
-                            }
-                        }
-                    }
-                    // Sharding is invisible to the graph too: same final
-                    // window, same lifetime totals.
-                    for (s, engine) in &sharded {
-                        assert_eq!(
-                            engine.graph().window(),
-                            baseline.graph().window(),
-                            "{label} shards {s}"
-                        );
-                        assert_eq!(
-                            engine.graph().total_expired(),
-                            baseline.graph().total_expired(),
-                            "{label} shards {s}"
-                        );
-                    }
-                    for (s, engine) in &multi_sharded {
-                        assert_eq!(
-                            engine.graph().window(),
-                            multi_base.graph().window(),
-                            "{label} shards {s}"
-                        );
-                        for id in &ids {
-                            assert_eq!(
-                                engine.total_cycles(*id),
-                                multi_base.total_cycles(*id),
-                                "{label} shards {s} query {id}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(cycles_seen > 0, "the sweep must actually exercise cycles");
 }
 
 /// Deterministically attributes the sweep stream: amounts and labels are
